@@ -65,6 +65,9 @@ if have_sanitizer thread; then
   ./build-tsan/tests/obs_test --gtest_filter='MetricsRegistry.*'
   ./build-tsan/tests/analysis_test \
     --gtest_filter='SweepExecutor.*:MatrixResult.*:RunMatrix.*'
+  # A server's connection threads and its scheduler share one journal
+  # handle's read cursor and index while a worker's handle appends.
+  ./build-tsan/tests/analysis_test --gtest_filter='SweepJournalConcurrency.*'
   # Checkpoint capture/restore crosses the rank threads (truncation,
   # state harvest, warm-started continuation) and sampled sweeps fan
   # out estimator-backed points: both race-prone by construction.

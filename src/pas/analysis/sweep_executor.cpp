@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <future>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -147,6 +146,10 @@ SweepExecutor::SweepExecutor(SweepSpec spec)
         "simulation");
   if (sampling_ && warmup_iters_ < 0)
     throw std::invalid_argument("SweepOptions.warmup_iters must be >= 0");
+}
+
+void SweepExecutor::attach_journal(const std::string& path) {
+  journal_ = std::make_unique<SweepJournal>(path, SweepJournal::Mode::kAttach);
 }
 
 RunRecord SweepExecutor::simulate_failsoft(const npb::Kernel& kernel,
@@ -863,14 +866,16 @@ void SweepExecutor::run_points_isolated(const npb::Kernel& kernel,
     Job& job = jobs[ji];
     ++job.attempts;
     isolated_columns.add();
+    // Only the members no earlier attempt journaled: a re-forked child
+    // resumes past its predecessor without reading the journal.
     std::vector<Point> member_points;
     member_points.reserve(job.members.size());
-    for (const std::size_t i : job.members) member_points.push_back(points[i]);
+    for (const std::size_t i : job.members)
+      if (!resolved[i]) member_points.push_back(points[i]);
     Live l;
     // fork without exec: the child builds a FRESH executor (fresh rank
     // pool, fresh RunMatrix — the parent's pool threads do not survive
-    // the fork) and reports through the shared journal. resume=true
-    // makes a re-forked child skip whatever its predecessor finished.
+    // the fork), attaches to the shared journal and reports through it.
     l.handle = util::Subprocess::spawn(
         [this, &kernel, member_points, &journal_path]() -> int {
           SweepSpec spec;
@@ -887,9 +892,8 @@ void SweepExecutor::run_points_isolated(const npb::Kernel& kernel,
           spec.options.warmup_iters = warmup_iters_;
           spec.options.verify_sampling = verify_sampling_;
           spec.options.checkpoints = checkpoints_;
-          spec.options.journal_path = journal_path;
-          spec.options.resume = true;
           SweepExecutor child(std::move(spec));
+          child.attach_journal(journal_path);
           child.run_points(kernel, member_points);
           return 0;
         });
@@ -909,7 +913,22 @@ void SweepExecutor::run_points_isolated(const npb::Kernel& kernel,
         ++it;
       }
     }
-    bool reaped_any = false;
+    // Sleep until a child exits or the nearest live deadline or (with a
+    // free slot) queued backoff gate comes due.
+    double wake_at = -1.0;
+    const auto due = [&wake_at](double t) {
+      if (wake_at < 0.0 || t < wake_at) wake_at = t;
+    };
+    std::vector<const util::Subprocess::Handle*> children;
+    for (const Live& l : live) {
+      children.push_back(&l.handle);
+      if (!l.timed_out) due(l.deadline);
+    }
+    if (live.size() < window)
+      for (const std::size_t ji : queue) due(jobs[ji].not_before);
+    util::Subprocess::wait_any(
+        children,
+        wake_at < 0.0 ? -1.0 : std::max(0.0, wake_at - wall_seconds()));
     for (std::size_t k = 0; k < live.size();) {
       Live& l = live[k];
       if (!l.handle.poll()) {
@@ -920,7 +939,6 @@ void SweepExecutor::run_points_isolated(const npb::Kernel& kernel,
         ++k;
         continue;
       }
-      reaped_any = true;
       util::Subprocess::Result res = l.handle.result();
       res.timed_out = res.timed_out || l.timed_out;
       Job& job = jobs[l.job];
@@ -990,8 +1008,6 @@ void SweepExecutor::run_points_isolated(const npb::Kernel& kernel,
       }
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
     }
-    if (!reaped_any && (!live.empty() || !queue.empty()))
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 }
 

@@ -86,6 +86,11 @@ class SweepExecutor {
   const RunCache& cache() const { return cache_; }
   /// The write-ahead journal, when one is configured; null otherwise.
   SweepJournal* journal() { return journal_.get(); }
+  /// Journals into the existing journal at `path` without reading its
+  /// history (SweepJournal::Mode::kAttach), replacing any journal the
+  /// spec configured: the worker side of a supervisor that hands out
+  /// only unresolved points and harvests the appends with refresh().
+  void attach_journal(const std::string& path);
   const sim::ClusterConfig& cluster() const { return cluster_; }
   const std::shared_ptr<obs::Observer>& observer() const { return observer_; }
 
@@ -164,9 +169,11 @@ class SweepExecutor {
                   bool resumed, double elapsed_s);
   /// The --isolate supervisor: forks one child per unresolved column
   /// (sliding window of `jobs` live children, wall-clock deadlines,
-  /// bounded exponential-backoff re-forks), harvests results through
-  /// the shared journal, and synthesizes fail-soft kCrashed/kTimeout
-  /// records for columns that never complete. Runs on the calling
+  /// bounded exponential-backoff re-forks), hands each attempt only its
+  /// still-unresolved members on an attached journal, harvests results
+  /// through that journal, and synthesizes fail-soft kCrashed/kTimeout
+  /// records for columns that never complete. Sleeps until a child
+  /// exits or the nearest deadline or backoff. Runs on the calling
   /// thread only — forking from pool workers is not fork-safe.
   void run_points_isolated(const npb::Kernel& kernel,
                            const std::vector<Point>& points,

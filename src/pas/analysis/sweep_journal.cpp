@@ -2,9 +2,11 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
@@ -98,52 +100,12 @@ bool decode_payload(const std::string& p, std::string* key, RunRecord* rec) {
   return true;
 }
 
-}  // namespace
-
-SweepJournal::SweepJournal(std::string path, bool resume)
-    : path_(std::move(path)) {
-  const auto init_fresh = [&] {
-    read_offset_ = kMagicLen;
-    if (const int err = util::atomic_write_file(path_, kMagic)) {
-      pas::util::log_warn("sweep journal: cannot create " + path_ + ": " +
-                          std::string(std::strerror(err)) +
-                          "; journaling disabled for this run");
-      write_failed_ = true;
-    }
-  };
-  if (!resume) {
-    init_fresh();
-    return;
-  }
-  const std::optional<std::string> bytes = util::read_file(path_);
-  if (!bytes) {
-    // --resume with no journal yet: same as a fresh sweep.
-    init_fresh();
-    return;
-  }
-  if (bytes->size() < kMagicLen ||
-      bytes->compare(0, kMagicLen, kMagic) != 0) {
-    pas::util::log_warn("sweep journal: " + path_ +
-                        " is not a journal (bad magic); starting fresh");
-    init_fresh();
-    return;
-  }
-  refresh();
-  repair_tail();
-}
-
-std::size_t SweepJournal::refresh_locked() {
-  const std::optional<std::string> bytes = util::read_file(path_);
-  if (!bytes) return 0;
-  const std::string& s = *bytes;
-  std::size_t off = read_offset_;
-  if (off == 0) {
-    if (s.size() < kMagicLen || s.compare(0, kMagicLen, kMagic) != 0)
-      return 0;
-    off = kMagicLen;
-    read_offset_ = off;
-  }
-  std::size_t added = 0;
+/// Decodes the whole frames of `s` from position `at` on into `out`
+/// and returns the position just past the last good one: parsing stops
+/// at the first torn or corrupt frame.
+std::size_t parse_frames(const std::string& s, std::size_t at,
+                         std::vector<std::pair<std::string, RunRecord>>* out) {
+  std::size_t off = at;
   while (off < s.size()) {
     const std::size_t nl = s.find('\n', off);
     if (nl == std::string::npos) break;  // torn header line
@@ -160,48 +122,192 @@ std::size_t SweepJournal::refresh_locked() {
       if (end == nullptr || *end != '\0') break;
     }
     const std::size_t payload_at = nl + 1;
-    if (payload_at + payload_len > s.size()) break;  // torn payload
+    if (payload_len > s.size() - payload_at) break;  // torn payload
     const std::string payload = s.substr(payload_at, payload_len);
     if (util::fnv1a(payload) != sum) break;  // bit rot / interleave
     std::string key;
     RunRecord rec;
     if (!decode_payload(payload, &key, &rec)) break;
-    if (records_.emplace(key, std::move(rec)).second) ++added;
+    out->emplace_back(std::move(key), std::move(rec));
     off = payload_at + payload_len;
-    read_offset_ = off;
   }
+  return off;
+}
+
+/// Up to `len` bytes of `fd` from offset `off` (fewer at end of file or
+/// on a read error).
+std::string pread_bytes(int fd, std::size_t off, std::size_t len) {
+  std::string buf(len, '\0');
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t n = ::pread(fd, buf.data() + got, len - got,
+                              static_cast<off_t>(off + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  buf.resize(got);
+  return buf;
+}
+
+}  // namespace
+
+SweepJournal::SweepJournal(std::string path, Mode mode)
+    : path_(std::move(path)) {
+  // No other thread can reach this handle yet, so the ctor works on the
+  // cursor without taking read_mutex_.
+  const auto not_a_journal = [&] {
+    pas::util::log_warn("sweep journal: " + path_ +
+                        " is not a journal (bad magic); starting fresh");
+    init_fresh();
+  };
+  switch (mode) {
+    case Mode::kFresh:
+      init_fresh();
+      return;
+    case Mode::kAttach: {
+      // Appends hold the flock across their write(), so the end of the
+      // file seen under it is a frame boundary. Only the magic is read.
+      const util::FileLock fl = util::FileLock::acquire(path_ + ".lock");
+      const long long size = reopen_locked();
+      if (size < 0) {
+        init_fresh();  // no journal yet: same as a fresh sweep
+      } else if (pread_bytes(fd_, 0, kMagicLen) != kMagic) {
+        not_a_journal();
+      } else {
+        read_offset_ = static_cast<std::size_t>(size);
+      }
+      return;
+    }
+    case Mode::kResume: {
+      // The one full read: the cursor starts at offset 0.
+      Harvest harvest;
+      read_new_frames_locked(&harvest);
+      if (fd_ < 0) {
+        init_fresh();  // --resume with no journal yet: a fresh sweep
+        return;
+      }
+      if (read_offset_ == 0) {
+        not_a_journal();
+        return;
+      }
+      index(std::move(harvest));
+      repair_tail();
+      return;
+    }
+  }
+}
+
+SweepJournal::~SweepJournal() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void SweepJournal::init_fresh() {
+  if (const int err = util::atomic_write_file(path_, kMagic)) {
+    pas::util::log_warn("sweep journal: cannot create " + path_ + ": " +
+                        std::string(std::strerror(err)) +
+                        "; journaling disabled for this run");
+    write_failed_ = true;
+    return;
+  }
+  reopen_locked();
+  read_offset_ = kMagicLen;
+}
+
+long long SweepJournal::reopen_locked() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat st {};
+  if (fd_ >= 0 && ::fstat(fd_, &st) != 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+  if (fd_ < 0) return -1;
+  dev_ = static_cast<std::uint64_t>(st.st_dev);
+  ino_ = static_cast<std::uint64_t>(st.st_ino);
+  return static_cast<long long>(st.st_size);
+}
+
+void SweepJournal::read_new_frames_locked(Harvest* out) {
+  struct stat st {};
+  if (::stat(path_.c_str(), &st) != 0) return;  // gone: nothing new
+  long long size = static_cast<long long>(st.st_size);
+  if (fd_ < 0 || static_cast<std::uint64_t>(st.st_dev) != dev_ ||
+      static_cast<std::uint64_t>(st.st_ino) != ino_ ||
+      size < static_cast<long long>(read_offset_)) {
+    // First read, a file replaced under us (a non-resuming sweep
+    // published a new journal) or one cut short: the cursor means
+    // nothing there, so start over at the first frame.
+    size = reopen_locked();
+    read_offset_ = 0;
+    if (size < 0) return;
+  }
+  const std::size_t from = read_offset_;
+  if (static_cast<std::size_t>(size) <= from) return;  // idle: no reads
+  const std::string bytes =
+      pread_bytes(fd_, from, static_cast<std::size_t>(size) - from);
+  std::size_t at = 0;
+  if (from == 0) {
+    if (bytes.compare(0, kMagicLen, kMagic) != 0) return;
+    at = kMagicLen;
+  }
+  bytes_read_ += bytes.size() - at;
+  read_offset_ = from + parse_frames(bytes, at, out);
+}
+
+std::size_t SweepJournal::index(Harvest&& harvest) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t added = 0;
+  for (auto& [key, rec] : harvest)
+    if (records_.emplace(std::move(key), std::move(rec)).second) ++added;
   return added;
 }
 
 std::size_t SweepJournal::refresh() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return refresh_locked();
+  // The cursor lock is held through index(): a concurrent refresh that
+  // finds nothing new must not return before these records are
+  // findable.
+  std::lock_guard<std::mutex> rlock(read_mutex_);
+  Harvest harvest;
+  read_new_frames_locked(&harvest);
+  return index(std::move(harvest));
 }
 
 void SweepJournal::repair_tail() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const util::FileLock fl = util::FileLock::acquire(path_ + ".lock");
-  // Harvest any frames a still-exiting writer got in before the lock;
-  // whatever remains past read_offset_ is torn or unreachable garbage,
-  // and appending after it would hide every later record. Cut it.
-  refresh_locked();
-  const std::optional<std::string> bytes = util::read_file(path_);
-  if (!bytes || read_offset_ == 0 || bytes->size() <= read_offset_) return;
-  const std::size_t dropped = bytes->size() - read_offset_;
-  if (::truncate(path_.c_str(), static_cast<off_t>(read_offset_)) != 0) {
-    pas::util::log_warn("sweep journal: cannot truncate torn tail of " +
-                        path_);
-    return;
+  std::lock_guard<std::mutex> rlock(read_mutex_);
+  Harvest harvest;
+  std::size_t dropped = 0;
+  {
+    const util::FileLock fl = util::FileLock::acquire(path_ + ".lock");
+    // Harvest any frames a still-exiting writer got in before the lock;
+    // whatever remains past the cursor is torn or unreachable garbage,
+    // and appending after it would hide every later record. Cut it —
+    // in the file the cursor parsed, never in one that replaced it.
+    read_new_frames_locked(&harvest);
+    const int wfd = read_offset_ > 0
+                        ? ::open(path_.c_str(), O_WRONLY | O_CLOEXEC)
+                        : -1;
+    struct stat st {};
+    if (wfd >= 0 && ::fstat(wfd, &st) == 0 &&
+        static_cast<std::uint64_t>(st.st_dev) == dev_ &&
+        static_cast<std::uint64_t>(st.st_ino) == ino_ &&
+        static_cast<std::size_t>(st.st_size) > read_offset_) {
+      if (::ftruncate(wfd, static_cast<off_t>(read_offset_)) == 0) {
+        ::fsync(wfd);
+        dropped = static_cast<std::size_t>(st.st_size) - read_offset_;
+      } else {
+        pas::util::log_warn("sweep journal: cannot truncate torn tail of " +
+                            path_);
+      }
+    }
+    if (wfd >= 0) ::close(wfd);
   }
-  const int fd = ::open(path_.c_str(), O_WRONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+  index(std::move(harvest));
+  if (dropped == 0) return;
   pas::util::log_warn(pas::util::strf(
       "sweep journal: truncated %zu torn tail byte(s) of %s (crashed "
       "writer); %zu record(s) intact",
-      dropped, path_.c_str(), records_.size()));
+      dropped, path_.c_str(), entries()));
 }
 
 std::optional<RunRecord> SweepJournal::find(const std::string& key) const {
@@ -244,6 +350,11 @@ bool SweepJournal::append(const std::string& key, const RunRecord& rec) {
 std::size_t SweepJournal::entries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return records_.size();
+}
+
+std::uint64_t SweepJournal::bytes_read() const {
+  std::lock_guard<std::mutex> lock(read_mutex_);
+  return bytes_read_;
 }
 
 void SweepJournal::set_crash_after_appends(long n) {

@@ -160,8 +160,18 @@ void fill_column_spec(analysis::SweepSpec* dst, const analysis::SweepSpec& src,
   dst->options.warmup_iters = src.options.warmup_iters;
   dst->options.verify_sampling = src.options.verify_sampling;
   dst->options.checkpoints = src.options.checkpoints;
-  dst->options.journal_path = opts.journal_path;
-  dst->options.resume = true;
+}
+
+/// One attempt at a column, in a forked worker or inline: a fresh
+/// executor attached to the journal runs the members still unresolved.
+void run_attempt(const analysis::SweepSpec& spec,
+                 const std::string& journal_path,
+                 const std::vector<analysis::SweepExecutor::Point>& points) {
+  analysis::SweepExecutor exec(spec);
+  exec.attach_journal(journal_path);
+  const std::unique_ptr<npb::Kernel> kernel =
+      analysis::make_spec_kernel(exec.spec());
+  exec.run_points(*kernel, points);
 }
 
 }  // namespace
@@ -206,7 +216,7 @@ void Broker::configure_peering(const std::string& self,
     std::lock_guard<std::mutex> lock(mutex_);
     store_ = std::move(store);
   }
-  work_cv_.notify_all();
+  wake_.notify();
 }
 
 std::shared_ptr<ArtifactStore> Broker::artifact_store() {
@@ -230,7 +240,7 @@ Broker::~Broker() {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  work_cv_.notify_all();
+  wake_.notify();
   scheduler_.join();
 }
 
@@ -239,7 +249,7 @@ void Broker::set_hold(bool hold) {
     std::lock_guard<std::mutex> lock(mutex_);
     hold_ = hold;
   }
-  work_cv_.notify_all();
+  wake_.notify();
 }
 
 Broker::SweepResult Broker::run(const analysis::SweepSpec& spec,
@@ -354,7 +364,7 @@ Broker::SweepResult Broker::run(const analysis::SweepSpec& spec,
       waits.push_back(std::move(col));
     }
   }
-  work_cv_.notify_all();
+  wake_.notify();
 
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -460,7 +470,7 @@ bool Broker::cas_import(const std::string& key, const std::string& payload) {
   cache_.store(key, rec);
   // A lent column may just have become complete; the scheduler's
   // lent-column pass decides.
-  work_cv_.notify_all();
+  wake_.notify();
   return true;
 }
 
@@ -488,6 +498,7 @@ std::optional<util::Json> Broker::give_column() {
     steal_empty_.add();
     return std::nullopt;
   }
+  wake_.notify();  // the scheduler arms the reclaim deadline
   steal_given_.add();
   util::Json desc = util::Json::object();
   desc.set("spec", portable_doc(col->spec, col->points).to_json());
@@ -537,7 +548,7 @@ bool Broker::submit_stolen(const util::Json& descriptor, int victim) {
   }
   steal_columns_.add();
   columns_.add();
-  work_cv_.notify_all();
+  wake_.notify();
   return true;
 }
 
@@ -585,6 +596,7 @@ void Broker::start_forward(std::shared_ptr<Column> col) {
       fwd.thread = std::thread([this, col, done] {
         forward_main(col);
         done->store(true, std::memory_order_release);
+        wake_.notify();  // so the scheduler joins this thread
       });
       forwards_.push_back(std::move(fwd));
       return;
@@ -617,7 +629,7 @@ void Broker::forward_main(std::shared_ptr<Column> col) {
     col->owner = -1;
     queue_.push_back(std::move(col));
     queue_depth_.set(static_cast<double>(queue_.size()));
-    work_cv_.notify_all();
+    wake_.notify();
     return;
   }
   for (std::size_t i = 0; i < col->keys.size(); ++i) {
@@ -668,7 +680,7 @@ void Broker::lent_pass() {
     steal_reclaimed_.add(reclaimed);
     util::log_warn(util::strf(
         "serve: reclaimed %zu lent column(s) from a quiet thief", reclaimed));
-    work_cv_.notify_all();
+    wake_.notify();
   }
 }
 
@@ -688,39 +700,55 @@ void Broker::reap_forwards(bool all) {
   for (std::thread& t : finished) t.join();
 }
 
+std::vector<analysis::SweepExecutor::Point> Broker::unresolved_points(
+    const Column& col) const {
+  std::vector<analysis::SweepExecutor::Point> pending;
+  for (std::size_t i = 0; i < col.keys.size(); ++i)
+    if (!journal_.find(col.keys[i])) pending.push_back(col.points[i]);
+  return pending;
+}
+
 void Broker::launch(std::shared_ptr<Column> col, std::vector<Live>& live) {
+  // The index is current as of the last harvest, so a retried column
+  // resumes past its predecessor's points without the worker reading
+  // the journal.
+  const std::vector<analysis::SweepExecutor::Point> pending =
+      unresolved_points(*col);
+  if (pending.empty()) {  // another column journaled them meanwhile
+    finish_column(col);
+    return;
+  }
   ++col->attempts;
   // Plain copies for the child: it must never touch parent objects.
   const analysis::SweepSpec child_spec = col->spec;
-  const std::vector<analysis::SweepExecutor::Point> child_points = col->points;
+  const std::string journal_path = opts_.journal_path;
   Live l;
   l.col = std::move(col);
   // fork without exec, from this thread only (fork safety): the child
-  // builds a fresh executor over the shared cache directory + journal
-  // and reports through the journal's flock'd appends.
-  l.handle = util::Subprocess::spawn([child_spec, child_points]() -> int {
-    analysis::SweepExecutor exec(child_spec);
-    const std::unique_ptr<npb::Kernel> kernel =
-        analysis::make_spec_kernel(exec.spec());
-    exec.run_points(*kernel, child_points);
-    return 0;
-  });
+  // builds a fresh executor over the shared cache directory, attaches
+  // to the journal and reports through its flock'd appends.
+  l.handle =
+      util::Subprocess::spawn([child_spec, pending, journal_path]() -> int {
+        run_attempt(child_spec, journal_path, pending);
+        return 0;
+      });
   l.t0 = mono_seconds();
   l.deadline = l.t0 + opts_.worker_timeout_s;
   live.push_back(std::move(l));
 }
 
 void Broker::run_inline(const std::shared_ptr<Column>& col) {
-  ++col->attempts;
-  try {
-    analysis::SweepExecutor exec(col->spec);
-    const std::unique_ptr<npb::Kernel> kernel =
-        analysis::make_spec_kernel(exec.spec());
-    exec.run_points(*kernel, col->points);
-  } catch (const std::exception& e) {
-    util::log_warn(util::strf("serve: inline column failed: %s", e.what()));
+  const std::vector<analysis::SweepExecutor::Point> pending =
+      unresolved_points(*col);
+  if (!pending.empty()) {
+    ++col->attempts;
+    try {
+      run_attempt(col->spec, opts_.journal_path, pending);
+    } catch (const std::exception& e) {
+      util::log_warn(util::strf("serve: inline column failed: %s", e.what()));
+    }
+    journal_.refresh();
   }
-  journal_.refresh();
   if (!column_complete(*col)) {
     worker_crashes_.add();
     if (col->attempts <= opts_.worker_retries) {
@@ -743,19 +771,7 @@ void Broker::scheduler_main() {
     std::vector<std::shared_ptr<Column>> to_forward;
     bool stopping = false;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      // Poll-shaped wait: live-worker deadlines, backoff gates, lent
-      // deadlines and steal probes need the clock even when nothing is
-      // queued.
-      work_cv_.wait_for(
-          lock, std::chrono::milliseconds(live.empty() ? 50 : 5), [&] {
-            if (stop_) return true;
-            if (hold_ || queue_.empty()) return false;
-            if (live.size() < window) return true;
-            for (const std::shared_ptr<Column>& col : queue_)
-              if (col->owner >= 0) return true;  // forwardable
-            return false;
-          });
+      std::lock_guard<std::mutex> lock(mutex_);
       stopping = stop_;
       if (!stopping && !hold_) {
         // Remote-owned columns leave on forwarding threads — they
@@ -832,10 +848,11 @@ void Broker::scheduler_main() {
       if (opts_.inline_exec)
         run_inline(next);
       else
-        launch(std::move(next), live);
+        launch(next, live);
     }
 
     // Reap / deadline pass over live workers.
+    bool reaped = false;
     for (std::size_t k = 0; k < live.size();) {
       Live& l = live[k];
       if (!l.handle.poll()) {
@@ -846,6 +863,7 @@ void Broker::scheduler_main() {
         ++k;
         continue;
       }
+      reaped = true;
       util::Subprocess::Result res = l.handle.result();
       res.timed_out = res.timed_out || l.timed_out;
       const std::shared_ptr<Column> col = l.col;
@@ -903,6 +921,32 @@ void Broker::scheduler_main() {
              stolen_live_ < static_cast<std::size_t>(opts_.workers);
     }
     if (idle) steal_probe();
+
+    // A launch or a reap may have made more work ready at once.
+    if (next || reaped) continue;
+    // Otherwise sleep until a worker exits, the doorbell rings (a
+    // submission, a thaw, a fabric event, stop) or the nearest live
+    // deadline, backoff gate, lent deadline or steal probe is due.
+    double wake_at = -1.0;
+    const auto due = [&wake_at](double t) {
+      if (wake_at < 0.0 || t < wake_at) wake_at = t;
+    };
+    std::vector<const util::Subprocess::Handle*> children;
+    for (const Live& l : live) {
+      children.push_back(&l.handle);
+      if (!l.timed_out) due(l.deadline);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!hold_ && live.size() < window)
+        for (const std::shared_ptr<Column>& col : queue_) due(col->not_before);
+      for (const Lent& l : lent_) due(l.deadline);
+      if (idle && store_) due(next_steal_);
+    }
+    util::Subprocess::wait_any(
+        children,
+        wake_at < 0.0 ? -1.0 : std::max(0.0, wake_at - mono_seconds()),
+        &wake_);
   }
 }
 

@@ -19,11 +19,15 @@
 //     records when a column never completes — a dying worker costs a
 //     column, never the server.
 //
-// Workers report through the shared sweep journal (the same flock'd
-// append-only IPC the --isolate supervisor uses), so a crashed
-// worker's completed points survive and a re-forked worker resumes
-// past them. Supervisor-synthesized crash records are never journaled
-// and never cached — a later submission retries those points for real.
+// Workers attach to the shared sweep journal without reading it and
+// report through it (the same flock'd append-only IPC the --isolate
+// supervisor uses). Each attempt gets only the members the broker's
+// journal index lacks, so a crashed worker's completed points survive
+// and a re-forked worker resumes past them. The scheduler sleeps until
+// a worker exits, the doorbell rings or the nearest deadline, backoff
+// or fabric timer is due. Supervisor-synthesized crash records are
+// never journaled and never cached — a later submission retries those
+// points for real.
 //
 // Peering (DESIGN.md §15): once configure_peering() wires an
 // ArtifactStore, the broker joins a shard fabric. Each column's
@@ -41,8 +45,8 @@
 // every metric reference is resolved at construction, so no other
 // broker thread ever takes the metrics-registry lock while the
 // scheduler forks. Worker children only touch their own fresh
-// executor state (own RunCache handle, own SweepJournal handle on the
-// shared files) — never the parent's objects.
+// executor state (own RunCache handle, own attached SweepJournal
+// handle on the shared files) — never the parent's objects.
 #pragma once
 
 #include <atomic>
@@ -63,6 +67,7 @@
 #include "pas/analysis/sweep_spec.hpp"
 #include "pas/obs/metrics.hpp"
 #include "pas/util/json.hpp"
+#include "pas/util/subprocess.hpp"
 
 namespace pas::serve {
 
@@ -168,7 +173,8 @@ class Broker {
  private:
   struct Column {
     std::string id;  ///< member cache keys + retry policy
-    /// Document spec a worker rebuilds its executor from.
+    /// Document spec (plus this broker's cache policy) a worker
+    /// rebuilds its executor from.
     analysis::SweepSpec spec;
     std::vector<analysis::SweepExecutor::Point> points;
     std::vector<std::string> keys;
@@ -190,6 +196,10 @@ class Broker {
 
   struct Live;
   void scheduler_main();
+  /// The members of `col` the journal index lacks — what an attempt
+  /// still has to run.
+  std::vector<analysis::SweepExecutor::Point> unresolved_points(
+      const Column& col) const;
   void launch(std::shared_ptr<Column> col, std::vector<Live>& live);
   void run_inline(const std::shared_ptr<Column>& col);
   /// True when every member key is in the journal.
@@ -224,7 +234,9 @@ class Broker {
   analysis::SweepJournal journal_;
 
   std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< wakes the scheduler
+  /// Rings the scheduler, which sleeps on it together with its live
+  /// workers' exits.
+  util::Wakeup wake_;
   std::condition_variable done_cv_;  ///< wakes run() waiters
   std::deque<std::shared_ptr<Column>> queue_;
   std::unordered_map<std::string, std::shared_ptr<Column>> in_flight_;

@@ -1,17 +1,22 @@
 #include "pas/util/subprocess.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/eventfd.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <sstream>
-#include <thread>
 
 namespace pas::util {
 namespace {
@@ -34,7 +39,31 @@ void apply_options_in_child(const Subprocess::Options& opts) {
   }
 }
 
+/// A pidfd for `pid` (readable once it exits; close-on-exec), or -1
+/// on kernels without pidfd_open (< 5.3).
+int open_exit_fd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  const long fd = ::syscall(SYS_pidfd_open, pid, 0);
+  return fd >= 0 ? static_cast<int>(fd) : -1;
+#else
+  (void)pid;
+  return -1;
+#endif
+}
+
 }  // namespace
+
+Wakeup::Wakeup() : fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {}
+
+Wakeup::~Wakeup() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void Wakeup::notify() {
+  if (fd_ < 0) return;
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof one);
+}
 
 std::string Subprocess::Result::describe() const {
   if (!started) return "failed to start: " + error;
@@ -59,9 +88,10 @@ std::string Subprocess::Result::describe() const {
 }
 
 Subprocess::Handle::Handle(Handle&& other) noexcept
-    : pid_(other.pid_), reaped_(other.reaped_),
+    : pid_(other.pid_), exit_fd_(other.exit_fd_), reaped_(other.reaped_),
       result_(std::move(other.result_)) {
   other.pid_ = -1;
+  other.exit_fd_ = -1;
   other.reaped_ = false;
 }
 
@@ -71,10 +101,13 @@ Subprocess::Handle& Subprocess::Handle::operator=(Handle&& other) noexcept {
       kill(SIGKILL);
       wait();
     }
+    close_exit_fd();
     pid_ = other.pid_;
+    exit_fd_ = other.exit_fd_;
     reaped_ = other.reaped_;
     result_ = std::move(other.result_);
     other.pid_ = -1;
+    other.exit_fd_ = -1;
     other.reaped_ = false;
   }
   return *this;
@@ -85,14 +118,26 @@ Subprocess::Handle::~Handle() {
     kill(SIGKILL);
     wait();
   }
+  close_exit_fd();
 }
 
-bool Subprocess::Handle::poll() {
+void Subprocess::Handle::close_exit_fd() {
+  if (exit_fd_ >= 0) ::close(exit_fd_);
+  exit_fd_ = -1;
+}
+
+bool Subprocess::Handle::poll() { return reap(WNOHANG); }
+
+bool Subprocess::Handle::reap(int flags) {
   if (reaped_ || pid_ <= 0) return reaped_;
   int status = 0;
-  const pid_t got = ::waitpid(pid_, &status, WNOHANG);
+  pid_t got = 0;
+  do {
+    got = ::waitpid(pid_, &status, flags);
+  } while (got < 0 && errno == EINTR);
   if (got == 0) return false;
   reaped_ = true;
+  close_exit_fd();
   if (got < 0) {
     // ECHILD etc.: we cannot classify the exit; report it as a crash so
     // the supervisor retries rather than trusting a phantom success.
@@ -111,19 +156,53 @@ bool Subprocess::Handle::poll() {
 }
 
 Subprocess::Result Subprocess::Handle::wait(double timeout_s) {
-  if (reaped_ || pid_ <= 0) return result_;
+  if (timeout_s <= 0.0) {
+    reap(0);
+    return result_;
+  }
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_s);
   while (!poll()) {
-    if (timeout_s > 0.0 && std::chrono::steady_clock::now() >= deadline) {
+    const double left = std::chrono::duration<double>(
+                            deadline - std::chrono::steady_clock::now())
+                            .count();
+    if (left <= 0.0) {
       kill(SIGKILL);
-      while (!poll()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      reap(0);
       result_.timed_out = true;
       return result_;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    wait_any({this}, left);
   }
   return result_;
+}
+
+void Subprocess::wait_any(const std::vector<const Handle*>& children,
+                          double timeout_s, Wakeup* wake) {
+  std::vector<pollfd> fds;
+  bool blind = false;  // something without a descriptor: poll it
+  for (const Handle* h : children) {
+    if (!h->running()) continue;
+    if (h->exit_fd_ >= 0)
+      fds.push_back(pollfd{h->exit_fd_, POLLIN, 0});
+    else
+      blind = true;
+  }
+  if (wake != nullptr) {
+    if (wake->fd_ >= 0)
+      fds.push_back(pollfd{wake->fd_, POLLIN, 0});
+    else
+      blind = true;
+  }
+  int ms = -1;
+  if (timeout_s >= 0.0)
+    ms = static_cast<int>(std::ceil(std::min(timeout_s, 86400.0) * 1e3));
+  if (blind) ms = (ms < 0) ? 1 : std::min(ms, 1);
+  ::poll(fds.data(), static_cast<nfds_t>(fds.size()), ms);
+  if (wake != nullptr && wake->fd_ >= 0) {
+    std::uint64_t rung = 0;  // drain: the next wait sleeps again
+    [[maybe_unused]] const ssize_t n = ::read(wake->fd_, &rung, sizeof rung);
+  }
 }
 
 void Subprocess::Handle::kill(int sig) const {
@@ -155,6 +234,7 @@ Subprocess::Handle Subprocess::spawn(std::function<int()> body,
     _exit(code);
   }
   h.pid_ = pid;
+  h.exit_fd_ = open_exit_fd(pid);
   h.result_.started = true;
   return h;
 }
@@ -186,6 +266,7 @@ Subprocess::Handle Subprocess::spawn(const std::vector<std::string>& argv,
     _exit(127);
   }
   h.pid_ = pid;
+  h.exit_fd_ = open_exit_fd(pid);
   h.result_.started = true;
   return h;
 }

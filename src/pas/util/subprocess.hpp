@@ -16,6 +16,12 @@
 // handlers, no stdio double-flush). Callers must fork from a thread
 // that holds no locks shared with running threads — the --isolate
 // supervisor dispatches all forks from the one coordinating thread.
+//
+// Waiting is exit-driven: each child comes with a pidfd that turns
+// readable the instant it exits, and wait_any() sleeps on any number
+// of them plus a Wakeup doorbell until the first of an exit, a
+// doorbell ring or a deadline. Both supervisors (the --isolate loop
+// and the serve broker's scheduler) sleep there.
 #pragma once
 
 #include <functional>
@@ -24,6 +30,23 @@
 #include <vector>
 
 namespace pas::util {
+
+/// A doorbell a supervisor waits on together with its children's exits
+/// (Subprocess::wait_any): notify() from any thread wakes the waiter,
+/// or makes its next wait return at once. Rings coalesce.
+class Wakeup {
+ public:
+  Wakeup();
+  ~Wakeup();
+  Wakeup(const Wakeup&) = delete;
+  Wakeup& operator=(const Wakeup&) = delete;
+
+  void notify();
+
+ private:
+  friend class Subprocess;
+  int fd_ = -1;  ///< eventfd; -1 when none could be created
+};
 
 class Subprocess {
  public:
@@ -72,6 +95,7 @@ class Subprocess {
 
     /// Blocks until exit, or until `timeout_s` (> 0) elapses — then
     /// SIGKILLs the child, reaps it and marks the result timed_out.
+    /// Sleeps on the child's exit (wait_any), not on a polling loop.
     Result wait(double timeout_s = 0.0);
 
     void kill(int sig) const;
@@ -80,10 +104,23 @@ class Subprocess {
 
    private:
     friend class Subprocess;
+    /// waitpid(`flags`) and classify; true once reaped.
+    bool reap(int flags);
+    void close_exit_fd();
+
     pid_t pid_ = -1;
+    int exit_fd_ = -1;  ///< pidfd; -1 when the kernel offers none
     bool reaped_ = false;
     Result result_;
   };
+
+  /// Blocks until one of `children` has exited (its poll() then reaps
+  /// it), `wake` is notified, or `timeout_s` passes (< 0: no limit) —
+  /// whichever comes first. Returns early on a signal; callers re-check
+  /// their state and wait again. Children the kernel gives no pidfd
+  /// for are polled at a 1 ms interval instead.
+  static void wait_any(const std::vector<const Handle*>& children,
+                       double timeout_s, Wakeup* wake = nullptr);
 
   /// Forks a child that runs `body` and _exit()s with its return value
   /// (exceptions are reported on stderr and exit as 125).

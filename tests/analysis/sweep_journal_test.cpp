@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <string>
 
+#include "pas/util/format.hpp"
 #include "pas/util/fs.hpp"
 #include "pas/util/subprocess.hpp"
 
@@ -195,6 +196,121 @@ TEST(SweepJournal, RefreshHarvestsAnotherProcessesAppends) {
   ASSERT_TRUE(got.has_value());
   expect_identical(*got, sample_record(8, 1400));
   EXPECT_TRUE(parent.find("parent-point").has_value());
+}
+
+TEST(SweepJournal, RefreshReadsOnlyTheNewFrames) {
+  const std::string path = temp_journal("incremental.journal");
+  SweepJournal reader(path, /*resume=*/false);
+  SweepJournal writer(path, /*resume=*/true);
+  for (int i = 0; i < 40; ++i)
+    ASSERT_TRUE(writer.append(pas::util::strf("old-%d", i),
+                              sample_record(1 + i % 4, 600)));
+  ASSERT_EQ(reader.refresh(), 40u);
+
+  // An idle refresh reads no frame bytes at all.
+  const std::uint64_t before = reader.bytes_read();
+  const auto size_before = std::filesystem::file_size(path);
+  EXPECT_EQ(reader.refresh(), 0u);
+  EXPECT_EQ(reader.bytes_read(), before);
+
+  // After K appends from another handle, a refresh reads exactly their
+  // frames — not the 40 it already parsed.
+  constexpr int kNew = 3;
+  for (int i = 0; i < kNew; ++i)
+    ASSERT_TRUE(writer.append(pas::util::strf("new-%d", i),
+                              sample_record(8, 1400)));
+  EXPECT_EQ(reader.refresh(), static_cast<std::size_t>(kNew));
+  EXPECT_EQ(reader.bytes_read() - before,
+            std::filesystem::file_size(path) - size_before);
+  EXPECT_TRUE(reader.find("new-2").has_value());
+  EXPECT_EQ(reader.refresh(), 0u);
+  EXPECT_EQ(reader.bytes_read() - before,
+            std::filesystem::file_size(path) - size_before);
+}
+
+TEST(SweepJournal, AttachedWorkerDecodesNoHistoryAndIsHarvested) {
+  const std::string path = temp_journal("attach.journal");
+  SweepJournal supervisor(path, /*resume=*/false);
+  constexpr int kHistory = 25;
+  for (int i = 0; i < kHistory; ++i)
+    ASSERT_TRUE(supervisor.append(pas::util::strf("history-%d", i),
+                                  sample_record(2, 600 + i)));
+  supervisor.refresh();  // cursor to the end of the history
+  const std::uint64_t before = supervisor.bytes_read();
+  const auto size_before = std::filesystem::file_size(path);
+
+  // A supervised worker attaches in its own process: it reads and
+  // indexes none of the history, and appends what it was handed.
+  const pas::util::Subprocess::Result res = pas::util::Subprocess::call(
+      [&path]() {
+        SweepJournal worker(path, SweepJournal::Mode::kAttach);
+        if (worker.entries() != 0 || worker.bytes_read() != 0) return 2;
+        if (worker.find("history-0").has_value()) return 3;
+        return worker.append("worker-point", sample_record(8, 1400)) ? 0 : 1;
+      },
+      /*timeout_s=*/30.0);
+  ASSERT_TRUE(res.ok()) << res.describe();
+
+  EXPECT_EQ(supervisor.refresh(), 1u);
+  const auto got = supervisor.find("worker-point");
+  ASSERT_TRUE(got.has_value());
+  expect_identical(*got, sample_record(8, 1400));
+  EXPECT_EQ(supervisor.bytes_read() - before,
+            std::filesystem::file_size(path) - size_before);
+  EXPECT_EQ(supervisor.entries(), static_cast<std::size_t>(kHistory + 1));
+}
+
+TEST(SweepJournal, ReplacedFileIsReReadAndNeverTruncated) {
+  const std::string path = temp_journal("replaced.journal");
+  // A long-lived reader (a server) has parsed two frames of the file.
+  SweepJournal server(path, /*resume=*/true);
+  ASSERT_TRUE(server.append("served-a", sample_record(1, 600)));
+  ASSERT_TRUE(server.append("served-bb", sample_record(2, 800)));
+  server.refresh();
+
+  // A sweep without --resume publishes a fresh journal by rename and
+  // fills it while the server lives on.
+  {
+    SweepJournal offline(path, /*resume=*/false);
+    for (int i = 0; i < 5; ++i)
+      ASSERT_TRUE(offline.append(pas::util::strf("offline-point-%d", i),
+                                 sample_record(4, 1000 + 100 * i)));
+  }
+  const auto offline_size = std::filesystem::file_size(path);
+
+  // The server notices the new file and reads it from its first frame,
+  // instead of parsing it from the old file's offset.
+  EXPECT_EQ(server.refresh(), 5u);
+  EXPECT_TRUE(server.find("offline-point-0").has_value());
+  EXPECT_TRUE(server.find("offline-point-4").has_value());
+  EXPECT_TRUE(server.find("served-a").has_value());
+  // Nothing of the new file is torn: repair must not cut a byte of it.
+  server.repair_tail();
+  EXPECT_EQ(std::filesystem::file_size(path), offline_size);
+  SweepJournal verify(path, /*resume=*/true);
+  EXPECT_EQ(verify.entries(), 5u);
+}
+
+TEST(SweepJournal, FileCutBelowTheCursorIsReReadFromItsFirstFrame) {
+  const std::string path = temp_journal("cut.journal");
+  SweepJournal writer(path, /*resume=*/false);
+  ASSERT_TRUE(writer.append("keep", sample_record(1, 600)));
+  const auto one_frame = std::filesystem::file_size(path);
+  ASSERT_TRUE(writer.append("cut-1", sample_record(2, 800)));
+  ASSERT_TRUE(writer.append("cut-2", sample_record(4, 1000)));
+  SweepJournal reader(path, /*resume=*/true);
+  ASSERT_EQ(reader.entries(), 3u);
+
+  // Cut in place (same inode) below the reader's cursor, then grow the
+  // file again with frames the reader has never seen.
+  std::filesystem::resize_file(path, one_frame);
+  EXPECT_EQ(reader.refresh(), 0u);
+  SweepJournal other(path, /*resume=*/true);
+  ASSERT_TRUE(other.append("later-point", sample_record(8, 1400)));
+  ASSERT_TRUE(other.append("latest-point", sample_record(8, 1200)));
+  EXPECT_EQ(reader.refresh(), 2u);
+  EXPECT_TRUE(reader.find("later-point").has_value());
+  EXPECT_TRUE(reader.find("latest-point").has_value());
 }
 
 TEST(SweepJournal, CrashAfterAppendsKillsTheArmedProcess) {

@@ -12,6 +12,7 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,16 @@ struct GoldenCase {
   bool verified;
   std::map<std::string, double> values;
 };
+
+// gtest prints each parameter next to its test name (--gtest_list_tests,
+// and so in the ctest names gtest_discover_tests registers). Left to its
+// default, it dumps the struct's raw bytes, `kernel` pointer included —
+// an address that ASLR moves on every run, so the registered test names
+// would differ from one build to the next.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << c.kernel << " variant " << c.variant << " on " << c.nranks
+      << " ranks";
+}
 
 std::unique_ptr<Kernel> make_kernel(const std::string& name, int variant) {
   if (name == "EP") {
@@ -276,6 +287,11 @@ std::string case_name(const ::testing::TestParamInfo<GoldenCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllKernels, Golden,
                          ::testing::ValuesIn(golden_table()), case_name);
+
+TEST(GoldenTable, ParamPrintsWithoutAddresses) {
+  const GoldenCase c{"CG", 1, 4, true, {}};
+  EXPECT_EQ(::testing::PrintToString(c), "CG variant 1 on 4 ranks");
+}
 
 }  // namespace
 }  // namespace pas::npb

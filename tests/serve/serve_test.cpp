@@ -18,6 +18,7 @@
 #include "pas/analysis/run_cache.hpp"
 #include "pas/analysis/sweep_executor.hpp"
 #include "pas/analysis/sweep_journal.hpp"
+#include "pas/obs/metrics.hpp"
 #include "pas/serve/broker.hpp"
 #include "pas/serve/client.hpp"
 #include "pas/serve/server.hpp"
@@ -188,6 +189,42 @@ TEST(ServeBroker, ExhaustedRetriesFailSoftAndHealOnResubmit) {
   ASSERT_EQ(healed.records.size(), 4u);
   EXPECT_EQ(healed.cache_hits, 2u);  // the two that did land
   expect_byte_identical(healed.records, offline_records(spec));
+}
+
+TEST(ServeBroker, JournalReplacedByAnOfflineSweepKeepsServing) {
+  const std::string dir = temp_dir("journal_replaced");
+  BrokerOptions opts;
+  opts.cache_dir = dir + "/cache";
+  opts.journal_path = dir + "/serve.journal";
+  opts.workers = 1;
+  Broker broker(opts);
+  obs::Counter& crashes = obs::registry().counter("serve.worker_crashes");
+  const std::uint64_t crashes0 = crashes.value();
+  for (const analysis::RunRecord& rec : broker.run(small_spec("EP")).records)
+    EXPECT_FALSE(rec.failed()) << rec.error;
+
+  // An offline sweep without --resume publishes a fresh journal by
+  // rename over the live server's and fills it.
+  analysis::SweepSpec offline = small_spec("FT");
+  offline.options.jobs = 1;
+  offline.options.use_cache = false;
+  offline.options.journal_path = opts.journal_path;
+  offline.options.resume = false;
+  analysis::SweepExecutor(offline).run();
+  const auto offline_size = std::filesystem::file_size(opts.journal_path);
+
+  // The next cold submission still reaches a healthy worker whose
+  // results the server harvests from the new file...
+  const analysis::SweepSpec next = small_spec("MG");
+  const Broker::SweepResult cold = broker.run(next);
+  for (const analysis::RunRecord& rec : cold.records)
+    EXPECT_FALSE(rec.failed()) << rec.error;
+  EXPECT_EQ(crashes.value(), crashes0);
+  expect_byte_identical(cold.records, offline_records(next));
+  // ... and not one byte of the offline sweep's journal was cut.
+  EXPECT_GE(std::filesystem::file_size(opts.journal_path), offline_size);
+  analysis::SweepJournal verify(opts.journal_path, /*resume=*/true);
+  EXPECT_EQ(verify.entries(), 8u);
 }
 
 TEST(ServeServer, EndToEndOverUnixSocketWithConcurrentClients) {

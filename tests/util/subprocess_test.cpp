@@ -116,6 +116,52 @@ TEST(Subprocess, DestructorReapsARunningChild) {
   EXPECT_NE(::kill(pid, 0), 0);
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(Subprocess, WaitAnyReturnsOnExitNotAtTheTimeout) {
+  Subprocess::Handle h = Subprocess::spawn([] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return 4;
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  while (!h.poll()) Subprocess::wait_any({&h}, 60.0);
+  EXPECT_LT(seconds_since(t0), 30.0);
+  EXPECT_EQ(h.result().exit_code, 4);
+
+  // wait() with no deadline blocks on the child itself.
+  Subprocess::Handle g = Subprocess::spawn([] { return 6; });
+  const Subprocess::Result res = g.wait();
+  EXPECT_TRUE(res.exited);
+  EXPECT_EQ(res.exit_code, 6);
+}
+
+TEST(Subprocess, WakeupInterruptsAWaitAndCoalesces) {
+  Wakeup bell;
+  // A ring from another thread ends a wait that has no children.
+  std::thread ringer([&bell] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    bell.notify();
+  });
+  auto t0 = std::chrono::steady_clock::now();
+  Subprocess::wait_any({}, 60.0, &bell);
+  EXPECT_LT(seconds_since(t0), 30.0);
+  ringer.join();
+
+  // Rings before the wait make it return at once; they coalesce, so the
+  // wait after that sleeps until its own timeout.
+  bell.notify();
+  bell.notify();
+  t0 = std::chrono::steady_clock::now();
+  Subprocess::wait_any({}, 60.0, &bell);
+  EXPECT_LT(seconds_since(t0), 30.0);
+  t0 = std::chrono::steady_clock::now();
+  Subprocess::wait_any({}, 0.05, &bell);
+  EXPECT_GE(seconds_since(t0), 0.04);
+}
+
 TEST(Subprocess, PollIsNonBlockingAndConverges) {
   Subprocess::Handle h = Subprocess::spawn([] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
