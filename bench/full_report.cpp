@@ -172,8 +172,7 @@ int main(int argc, char** argv) {
                                     wall_start)
           .count();
   // Batched-replay shape (DESIGN.md §11): how many DVFS lanes each
-  // simulated column amortized. The counters tick engine-independently,
-  // so the ratio is comparable between batched and scalar runs.
+  // simulated column amortized.
   const std::uint64_t lanes =
       obs::registry().counter("repricer.batch_lanes").value();
   const std::uint64_t columns = obs::registry().counter("repricer.columns").value();

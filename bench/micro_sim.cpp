@@ -11,7 +11,6 @@
 
 #include "pas/analysis/batch_repricer.hpp"
 #include "pas/analysis/experiment.hpp"
-#include "pas/analysis/repricer.hpp"
 #include "pas/mpi/mailbox.hpp"
 #include "pas/npb/fft.hpp"
 #include "pas/sim/cache_sim.hpp"
@@ -190,8 +189,8 @@ void BM_AlltoallPayloads(benchmark::State& state) {
 }
 BENCHMARK(BM_AlltoallPayloads)->Arg(4)->Arg(8);
 
-/// One recorded column ledger for the repricing benchmarks (FT small at
-/// N=4: a communication-heavy op stream, the repricer's worst case).
+/// One recorded column ledger for BM_BatchReprice (FT small at N=4: a
+/// communication-heavy op stream, the repricer's worst case).
 const sim::WorkLedger& bench_ledger() {
   static const sim::WorkLedger ledger = [] {
     const auto ft = analysis::make_kernel("FT", analysis::Scale::kSmall);
@@ -213,22 +212,8 @@ std::vector<double> lane_freqs(int lanes) {
   return freqs;
 }
 
-/// Scalar reference: one full replay per frequency.
-void BM_ScalarReprice(benchmark::State& state) {
-  const sim::WorkLedger& ledger = bench_ledger();
-  const analysis::Repricer repricer(sim::ClusterConfig::paper_testbed(4));
-  const std::vector<double> freqs =
-      lane_freqs(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    for (double f : freqs)
-      benchmark::DoNotOptimize(repricer.reprice(ledger, f).seconds);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ScalarReprice)->Arg(1)->Arg(4)->Arg(12);
-
-/// Batched engine: one forward pass prices every lane (DESIGN.md §11).
-/// Items = lanes, so items/s is directly comparable to BM_ScalarReprice.
+/// Replay: one forward pass prices every lane (DESIGN.md §11). Items =
+/// lanes, so items/s compares across lane counts.
 void BM_BatchReprice(benchmark::State& state) {
   const sim::WorkLedger& ledger = bench_ledger();
   const analysis::BatchRepricer repricer(sim::ClusterConfig::paper_testbed(4));

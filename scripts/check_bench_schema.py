@@ -39,7 +39,6 @@ REQUIRED_BENCHMARKS = (
     "BM_MailboxMatchDepth",
     "BM_MailboxContention",
     "BM_AlltoallPayloads",
-    "BM_ScalarReprice",
     "BM_BatchReprice",
 )
 

@@ -81,14 +81,19 @@ else
 fi
 
 echo "== tier 1: frequency-collapse replay =="
-# Grid equivalence of the fast path (DESIGN.md §10) — under TSan when
-# available, since column tasks re-price concurrently.
-REPLAY_FILTER='Repricer.*:ReplayFastPath.*:LedgerCache.*'
-if have_sanitizer thread; then
-  ./build-tsan/tests/analysis_test --gtest_filter="$REPLAY_FILTER"
-else
-  ./build/tests/analysis_test --gtest_filter="$REPLAY_FILTER"
-fi
+# The replay suites (DESIGN.md §10–11), pinned to full simulation —
+# under TSan when available, since column tasks re-price concurrently.
+# A filter that matches nothing passes silently, so each suite must
+# list at least one test.
+REPLAY_TESTS=./build/tests/analysis_test
+have_sanitizer thread && REPLAY_TESTS=./build-tsan/tests/analysis_test
+for suite in BatchRepricer BatchedSweep ReplayFastPath LedgerCache; do
+  listed="$("$REPLAY_TESTS" --gtest_list_tests --gtest_filter="$suite.*" |
+            grep -c '^  ' || true)"
+  [ "$listed" -gt 0 ] || { echo "no $suite tests to run"; exit 1; }
+done
+"$REPLAY_TESTS" \
+  --gtest_filter='BatchRepricer.*:BatchedSweep.*:ReplayFastPath.*:LedgerCache.*'
 # Cold vs warm ledger: the first run records one ledger per column;
 # deleting the .run records forces the second run to re-price every
 # point from the persisted ledgers (verified against full simulation
@@ -102,31 +107,18 @@ rm -f "$REPLAY_DIR/cache/"*.run
   > "$REPLAY_DIR/warm.out"
 cmp "$REPLAY_DIR/cold.out" "$REPLAY_DIR/warm.out"
 cmp "$REPLAY_DIR/cold.csv" "$REPLAY_DIR/warm.csv"
-echo "frequency-collapse replay OK (cold/warm byte-identical)"
-
-echo "== tier 1: batch replay =="
-# The batched repricing engine (DESIGN.md §11): lane equivalence under
-# TSan when available (one column task prices many lanes at once), then
-# a byte-compare of whole sweep artifacts — batched engine vs the
-# scalar oracle forced by PASIM_SCALAR_REPRICE=1 — at jobs 8.
-BATCH_FILTER='BatchRepricer.*:BatchedSweep.*'
-if have_sanitizer thread; then
-  ./build-tsan/tests/analysis_test --gtest_filter="$BATCH_FILTER"
-else
-  ./build/tests/analysis_test --gtest_filter="$BATCH_FILTER"
-fi
-BATCH_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$BATCH_DIR"' EXIT
-./build/bench/fig2_ft_surface --small --jobs 8 --no-cache \
-  --csv "$BATCH_DIR/batched.csv" > "$BATCH_DIR/batched.out"
-PASIM_SCALAR_REPRICE=1 ./build/bench/fig2_ft_surface --small --jobs 8 \
-  --no-cache --csv "$BATCH_DIR/scalar.csv" > "$BATCH_DIR/scalar.out"
-cmp "$BATCH_DIR/batched.out" "$BATCH_DIR/scalar.out"
-cmp "$BATCH_DIR/batched.csv" "$BATCH_DIR/scalar.csv"
-echo "batch replay OK (batched/scalar byte-identical at --jobs 8)"
+# A cold --jobs 8 sweep re-simulates every batched lane under
+# --verify-replay; fig2's output does not depend on --jobs, so it must
+# match the cold run byte for byte.
+./build/bench/fig2_ft_surface --small --jobs 8 --verify-replay \
+  --cache "$REPLAY_DIR/cache8" --csv "$REPLAY_DIR/jobs8.csv" \
+  > "$REPLAY_DIR/jobs8.out"
+cmp "$REPLAY_DIR/cold.out" "$REPLAY_DIR/jobs8.out"
+cmp "$REPLAY_DIR/cold.csv" "$REPLAY_DIR/jobs8.csv"
+echo "frequency-collapse replay OK (cold/warm/--jobs 8 byte-identical)"
 
 echo "== tier 1: sampled estimation + checkpoint warm-starts =="
-# DESIGN.md §14, on the axis the Repricer cannot collapse (node count
+# DESIGN.md §14, on the axis replay cannot collapse (node count
 # at one frequency). Three gates:
 #   1. CI coverage — a sampled sweep with --verify-sampling 1
 #      re-simulates every point exactly and aborts if any exact
@@ -138,7 +130,7 @@ echo "== tier 1: sampled estimation + checkpoint warm-starts =="
 #   3. Speed — sampling + warm-starts must cut wall clock by >= 3x on
 #      a deep-iteration grid vs the exact cold run.
 SAMPLING_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$BATCH_DIR" "$SAMPLING_DIR"' EXIT
+trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$SAMPLING_DIR"' EXIT
 ./build/bench/fig2_ft_surface --small --iterations 96 --nodes 1,2,4 \
   --freqs 1000 --jobs 1 --no-cache --sampling --sample-period 8 \
   --warmup-iters 2 --verify-sampling 1 \
@@ -199,7 +191,7 @@ echo "== tier 1: crash-safety torture (SIGKILL / corrupt / resume) =="
 # entries corrupted, then resumed — the stable artifacts (REPORT.md +
 # CSVs) must be byte-identical to an uninterrupted --jobs 1 run.
 ROBUST_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$BATCH_DIR" "$SAMPLING_DIR" "$ROBUST_DIR"' EXIT
+trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$SAMPLING_DIR" "$ROBUST_DIR"' EXIT
 REF="$ROBUST_DIR/ref"
 "$ROOT/build/bench/full_report" --small --jobs 1 --no-cache \
   --out "$REF" >/dev/null
@@ -297,7 +289,7 @@ echo "injected-ENOSPC degradation OK (rc=$ENOSPC_RC)"
 
 echo "== tier 1: sweep-spec schema + --spec equivalence =="
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$BATCH_DIR" "$SAMPLING_DIR" "$ROBUST_DIR" "$SERVE_DIR"' EXIT
+trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$SAMPLING_DIR" "$ROBUST_DIR" "$SERVE_DIR"' EXIT
 # The committed sample specs and a freshly printed document must both
 # satisfy the published schema, checked from first principles.
 "$ROOT/build/tools/pasim_client" --print-spec --small --kernel FT \
@@ -375,7 +367,7 @@ echo "== tier 1: distributed serve (fabric / steal / kill-one) =="
 #      forwarded columns, re-runs them locally, and still answers
 #      byte-identically.
 FAB_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$BATCH_DIR" "$SAMPLING_DIR" "$ROBUST_DIR" "$SERVE_DIR" "$FAB_DIR"' EXIT
+trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$SAMPLING_DIR" "$ROBUST_DIR" "$SERVE_DIR" "$FAB_DIR"' EXIT
 serve_port() {
   # Parse the ephemeral port from a broker's "listening" line.
   for _ in $(seq 1 100); do

@@ -72,7 +72,7 @@ std::vector<RunRecord> BatchRepricer::reprice(
   const int n = ledger.nranks;
   if (n < 1 || ledger.rank_spans.size() != static_cast<std::size_t>(n))
     throw std::logic_error("BatchRepricer: malformed ledger");
-  detail::check_replay_rank_count("BatchRepricer", n);
+  detail::check_replay_rank_count(n);
   const std::size_t F = freqs_mhz.size();
   if (F == 0) return {};
   if (!tracers.empty() && tracers.size() != F)
@@ -86,7 +86,7 @@ std::vector<RunRecord> BatchRepricer::reprice(
   std::vector<LaneConst> lane(F);
   for (std::size_t l = 0; l < F; ++l) {
     // at_mhz throws out_of_range for an unknown point, exactly like the
-    // scalar path's set_frequency_mhz.
+    // simulator's set_frequency_mhz.
     const sim::OperatingPoint& op =
         cluster_.operating_points.at_mhz(freqs_mhz[l]);
     lane[l].in_mhz = freqs_mhz[l];
@@ -163,9 +163,10 @@ std::vector<RunRecord> BatchRepricer::reprice(
     spend(idx, slot, t - now[idx], act);
   };
 
-  /// Mirrors Comm::enter_comm_phase / the scalar engine's copy. The
-  /// phase flag flips once (shared); whether a lane switches points —
-  /// and therefore pays the transition — depends on its own fkey.
+  /// Mirrors Comm::enter_comm_phase (fault jitter is zero: ledgers are
+  /// only recorded with faults disarmed). The phase flag flips once
+  /// (shared); whether a lane switches points — and therefore pays the
+  /// transition — depends on its own fkey.
   const auto enter_comm_phase = [&](int r) {
     RankShared& rs = rank[static_cast<std::size_t>(r)];
     if (rs.comm_raw_mhz <= 0.0 || rs.in_phase) return;
@@ -176,7 +177,7 @@ std::vector<RunRecord> BatchRepricer::reprice(
       if (lane[l].fkey_app == fkey_raw) continue;  // already at the point
       if (!resolved) {
         // Resolved lazily — only a switching lane consults the table,
-        // exactly when the scalar path's set_frequency_mhz would.
+        // exactly when the simulator's set_frequency_mhz would.
         const sim::OperatingPoint& cop =
             cluster_.operating_points.at_mhz(rs.comm_raw_mhz);
         rs.comm_nominal_mhz = cop.frequency_mhz();
@@ -193,7 +194,7 @@ std::vector<RunRecord> BatchRepricer::reprice(
       }
       const std::size_t idx = static_cast<std::size_t>(r) * F + l;
       // Transition charged before the switch: attributed at the app
-      // point, like the scalar path.
+      // point, like Comm::enter_comm_phase.
       spend(idx, 0, cluster_.dvfs_transition_s, sim::Activity::kCpu);
       cur_fhz[idx] = rs.comm_f_hz;
       cur_slot[idx] = rs.comm_slot;
@@ -214,7 +215,7 @@ std::vector<RunRecord> BatchRepricer::reprice(
       if (!switched[idx]) continue;
       const double from_mhz = rs.comm_nominal_mhz;
       // Switch back first, then charge: the transition is attributed at
-      // the app point, like the scalar path.
+      // the app point, like Comm::exit_comm_phase.
       cur_fhz[idx] = lane[l].f_hz;
       cur_slot[idx] = 0;
       switched[idx] = 0;
@@ -270,8 +271,8 @@ std::vector<RunRecord> BatchRepricer::reprice(
           throw std::logic_error(pas::util::strf(
               "BatchRepricer: rank %d sends to out-of-range peer %d", r,
               op.peer));
-        // Trace start precedes the phase transition, like the scalar
-        // path — capture per lane before entering.
+        // Trace start precedes the phase transition, like Comm's send
+        // span — capture per lane before entering.
         std::vector<double> t0s;
         if (!tracers.empty()) {
           t0s.resize(F);
@@ -369,8 +370,9 @@ std::vector<RunRecord> BatchRepricer::reprice(
     return true;
   };
 
-  // Round-robin: the scalar engine's scheduler verbatim — blocking is
-  // frequency-invariant, so one schedule serves every lane.
+  // Round-robin: advance each rank until it blocks; a full pass with no
+  // progress while work remains means the op streams are inconsistent.
+  // Blocking is frequency-invariant, so one schedule serves every lane.
   bool all_done = false;
   while (!all_done) {
     bool progress = false;
@@ -400,8 +402,8 @@ std::vector<RunRecord> BatchRepricer::reprice(
           "BatchRepricer: ledger left undelivered messages after replay");
   }
 
-  // Record assembly: mirrors the scalar Repricer (which mirrors
-  // RunMatrix::run_one) field by field and in the same summation order,
+  // Record assembly: mirrors RunMatrix::run_one field by field and in
+  // the same summation order (Runtime::run reports ranks in rank order),
   // per lane.
   std::vector<RunRecord> records(F);
   const double nranks = static_cast<double>(n);
@@ -429,7 +431,7 @@ std::vector<RunRecord> BatchRepricer::reprice(
 
     for (int r = 0; r < n; ++r) {
       const std::size_t idx = static_cast<std::size_t>(r) * F + l;
-      // The scalar path's activity_by_fkey map iterates fkey-ascending;
+      // The simulator's activity_by_fkey map iterates fkey-ascending;
       // gather the used slots and emit them in the same order.
       struct SlotRef {
         long fkey;

@@ -1,30 +1,34 @@
-// BatchRepricer — one forward pass over a charged-work ledger that
-// prices every requested DVFS operating point simultaneously
-// (DESIGN.md §11).
+// BatchRepricer — analytic replay of a charged-work ledger: one
+// forward pass prices every requested DVFS operating point
+// simultaneously (DESIGN.md §10–11).
 //
-// The scalar Repricer replays a ledger once per operating point, so a
-// 12-frequency column walks the same op streams 11 times. This engine
-// exploits the structure of the replay instead: message matching is
-// FIFO per (src, dst, tag) and a receive blocks only on an empty
-// channel — both facts independent of frequency — so every lane
-// (operating point) follows the *same* op schedule and only the priced
-// seconds differ. State that varies per lane (clocks, port busy-until
-// times, per-operating-point activity buckets) lives in
-// structure-of-arrays vectors indexed [rank * lanes + lane], making the
-// per-op inner loop over lanes branch-uniform; state that is
-// frequency-invariant (channel queues, message counts, executed
-// instruction mixes, the comm-phase flag) is kept once and shared.
+// The paper's decomposition (Eq 14/18) says a workload's cost at any
+// frequency is determined by its ON-chip work, OFF-chip work and
+// parallel overhead — quantities one simulated run of the same
+// (kernel, size, N) column already measured. Replay re-executes the
+// recorded sim::WorkLedger on one thread: per-channel FIFO queues stand
+// in for mailboxes (exact (src, tag) matching means the n-th receive on
+// a channel matches the n-th send), and a round-robin scheduler
+// advances each rank until it blocks on an empty channel. Both facts
+// are independent of frequency, so every lane (operating point) follows
+// the *same* op schedule and only the priced seconds differ. State that
+// varies per lane (clocks, port busy-until times, per-operating-point
+// activity buckets) lives in structure-of-arrays vectors indexed
+// [rank * lanes + lane], making the per-op inner loop over lanes
+// branch-uniform; state that is frequency-invariant (channel queues,
+// message counts, executed instruction mixes, the comm-phase flag) is
+// kept once and shared.
 //
-// Exactness contract: each lane runs the identical arithmetic the
-// scalar Repricer (and the full simulator) runs, in the identical
-// order — frequency-invariant terms (ON-chip cycle counts, wire
-// serialization seconds) are hoisted and computed once per op, but the
-// per-lane operations consuming them are the same divisions and
-// multiplications CpuModel::time_split and NetworkFabric::transfer
-// perform, never reassociated or inverted. reprice() therefore returns
-// RunRecords bit-identical to Repricer::reprice at each frequency; the
-// scalar engine stays in the tree as the reference oracle the
-// equivalence tests (BatchRepricer.*) diff against.
+// Exactness contract: each lane runs the identical arithmetic the full
+// simulator runs (CpuModel::time_split, NetworkFabric::transfer, the
+// Comm phase machine), in the identical order — frequency-invariant
+// terms (ON-chip cycle counts, wire serialization seconds) are hoisted
+// and computed once per op, but the per-lane operations consuming them
+// are the same divisions and multiplications, never reassociated or
+// inverted, and recorded seconds are never scaled. reprice() therefore
+// returns RunRecords bit-identical to a full simulation at each
+// frequency, which the replay suites (BatchRepricer.*) and
+// --verify-replay check against RunMatrix::run_one.
 #pragma once
 
 #include <vector>
@@ -45,10 +49,10 @@ class BatchRepricer {
   const sim::ClusterConfig& cluster() const { return cluster_; }
 
   /// Replays `ledger` once and returns one RunRecord per entry of
-  /// `freqs_mhz` (index-aligned), each bit-identical to
-  /// Repricer::reprice(ledger, freqs_mhz[i]). `tracers`, when
-  /// non-empty, must have one slot per frequency; lane i's replay
-  /// events (the same set a traced full run records) are emitted into
+  /// `freqs_mhz` (index-aligned), each bit-identical to a full
+  /// simulation at freqs_mhz[i]. `tracers`, when non-empty, must have
+  /// one slot per frequency; lane i's replay events (the set a traced
+  /// full run records, in a different order) are emitted into
   /// tracers[i] when that slot is non-null.
   ///
   /// Throws std::logic_error when the ledger is not replayable, its op

@@ -1,8 +1,7 @@
-// Internals shared by the scalar Repricer and the batch SoA engine.
-// Both replay the same ledgers through the same matching discipline, so
-// the channel identity must be one definition — a divergence here would
-// let the two engines pair sends and receives differently and silently
-// break the bit-identity contract (DESIGN.md §11).
+// Replay internals of BatchRepricer, in a header so the replay tests
+// can pin the channel identity: sends and receives must pair exactly as
+// the simulator's mailboxes pair them, or replay silently breaks its
+// bit-identity contract (DESIGN.md §11).
 #pragma once
 
 #include <cstdint>
@@ -31,15 +30,14 @@ inline std::uint64_t channel_key(int src, int dst, int tag) {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag));
 }
 
-/// Guard used by every replay entry point before any channel key is
-/// formed. Throws std::logic_error on a rank count the key cannot
-/// represent.
-inline void check_replay_rank_count(const char* engine, int nranks) {
+/// Guard BatchRepricer::reprice runs before any channel key is formed.
+/// Throws std::logic_error on a rank count the key cannot represent.
+inline void check_replay_rank_count(int nranks) {
   if (nranks > kMaxReplayRanks)
     throw std::logic_error(pas::util::strf(
-        "%s: %d ranks exceeds the %d-rank replay limit (channel keys "
-        "pack ranks into 16 bits)",
-        engine, nranks, kMaxReplayRanks));
+        "BatchRepricer: %d ranks exceeds the %d-rank replay limit (channel "
+        "keys pack ranks into 16 bits)",
+        nranks, kMaxReplayRanks));
 }
 
 }  // namespace pas::analysis::detail

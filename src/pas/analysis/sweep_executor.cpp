@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <future>
 #include <stdexcept>
 #include <unordered_map>
@@ -13,7 +12,6 @@
 
 #include "pas/analysis/batch_repricer.hpp"
 #include "pas/analysis/experiment.hpp"
-#include "pas/analysis/repricer.hpp"
 #include "pas/obs/metrics.hpp"
 #include "pas/util/cli.hpp"
 #include "pas/util/format.hpp"
@@ -103,10 +101,6 @@ SweepExecutor::SweepExecutor(SweepSpec spec)
       warmup_iters_(spec_.options.warmup_iters),
       verify_sampling_(spec_.options.verify_sampling),
       checkpoints_(spec_.options.checkpoints),
-      scalar_reprice_([] {
-        const char* v = std::getenv("PASIM_SCALAR_REPRICE");
-        return v != nullptr && *v != '\0' && std::string(v) != "0";
-      }()),
       isolate_(spec_.options.isolate),
       isolate_timeout_s_(spec_.options.isolate_timeout_s),
       isolate_retries_(spec_.options.isolate_retries),
@@ -399,64 +393,13 @@ void SweepExecutor::maybe_verify_sampling(const npb::Kernel& kernel,
       rec.ci_seconds, exact.seconds));
 }
 
-RunRecord SweepExecutor::reprice_point(const npb::Kernel& kernel,
-                                       const Point& p,
-                                       const sim::WorkLedger& ledger,
-                                       const ObsCtx* ctx) {
-  const bool tracing = observer_ && observer_->tracing() && ctx != nullptr;
-  const Repricer repricer(cluster_, power_);
-  RunRecord rec;
-  if (tracing) {
-    // Replay emits the same event set a traced full run records; the
-    // obs layer's canonical sort makes the export byte-identical.
-    sim::Tracer tracer;
-    tracer.enable();
-    rec = repricer.reprice(ledger, p.frequency_mhz, &tracer);
-    obs::RunTrace trace;
-    trace.nranks = p.nodes;
-    trace.frequency_mhz = p.frequency_mhz;
-    trace.op = cluster_.operating_points.at_mhz(p.frequency_mhz);
-    trace.makespan_s = rec.seconds;
-    trace.events = tracer.events();
-    trace.wall_s = observer_->wall_now_s();
-    observer_->record_run_trace(ctx->sweep, ctx->index, std::move(trace));
-  } else {
-    rec = repricer.reprice(ledger, p.frequency_mhz);
-  }
-  if (verify_replay_) {
-    const RunRecord fresh = simulate_failsoft(kernel, p, nullptr);
-    const std::string repriced_bytes = RunCache::encode_record(rec);
-    const std::string simulated_bytes = RunCache::encode_record(fresh);
-    if (repriced_bytes != simulated_bytes)
-      throw std::runtime_error(util::strf(
-          "--verify-replay: repriced record differs from full simulation "
-          "at %s N=%d f=%.0fMHz\n--- repriced ---\n%s--- simulated ---\n%s",
-          kernel.name().c_str(), p.nodes, p.frequency_mhz,
-          repriced_bytes.c_str(), simulated_bytes.c_str()));
-    static obs::Counter& verified_points =
-        obs::registry().counter("sweep.points_verified");
-    verified_points.add();
-  }
-  util::log_info(util::strf(
-      "%s N=%d f=%.0fMHz: T=%.4fs, overhead=%.4fs, E=%.1fJ, verified=%d "
-      "(repriced)",
-      kernel.name().c_str(), p.nodes, p.frequency_mhz, rec.seconds,
-      rec.mean_overhead_s, rec.energy.total_j(), rec.verified ? 1 : 0));
-  note_repriced_lanes(ctx, 1, ledger.total_ops());
-  return rec;
-}
-
-void SweepExecutor::note_repriced_lanes(const ObsCtx* ctx, std::size_t lanes,
-                                        std::size_t ops) {
-  (void)ctx;
+void SweepExecutor::note_repriced_lanes(std::size_t lanes, std::size_t ops) {
   namespace o = pas::obs;
-  // Lane totals are a function of the grid and cache contents alone —
-  // the batched engine prices a column's lanes in one call, the scalar
-  // engine one per point, and both sum to the same values at any
-  // --jobs, so the rows are stable. Ticked with or without an observer
-  // (counters are process-global and cost one relaxed add): the
-  // full_report summary derives lanes-per-column from them even when
-  // nothing is exported.
+  // Lane totals are a function of the grid and cache contents alone,
+  // never of scheduling, so the rows are stable at any --jobs. Ticked
+  // with or without an observer (counters are process-global and cost
+  // one relaxed add): the full_report summary derives lanes-per-column
+  // from them even when nothing is exported.
   static o::Counter& batch_lanes =
       o::registry().counter("repricer.batch_lanes", o::Stability::kStable);
   static o::Counter& ops_replayed =
@@ -465,9 +408,7 @@ void SweepExecutor::note_repriced_lanes(const ObsCtx* ctx, std::size_t lanes,
   ops_replayed.add(static_cast<std::uint64_t>(ops));
 }
 
-void SweepExecutor::note_ledger_resolved(const ObsCtx* ctx,
-                                         const sim::WorkLedger& ledger) {
-  (void)ctx;
+void SweepExecutor::note_ledger_resolved(const sim::WorkLedger& ledger) {
   namespace o = pas::obs;
   static o::Counter& ledger_bytes =
       o::registry().counter("repricer.ledger_bytes", o::Stability::kStable);
@@ -477,12 +418,11 @@ void SweepExecutor::note_ledger_resolved(const ObsCtx* ctx,
   columns.add();
 }
 
-RunRecord SweepExecutor::run_point(const npb::Kernel& kernel, const Point& p,
-                                   const ObsCtx* ctx, ColumnState* col) {
+std::optional<RunRecord> SweepExecutor::run_point(const npb::Kernel& kernel,
+                                                  const Point& p,
+                                                  const ObsCtx* ctx,
+                                                  const MissFn& miss) {
   const double wall_t0 = wall_seconds();
-  bool from_cache = false;
-  bool repriced = false;
-  RunRecord rec;
   std::string key;
   if (use_cache_ || journal_ != nullptr) key = point_key(kernel, p);
   // Journaled resume: an already-completed point (successful or
@@ -495,65 +435,33 @@ RunRecord SweepExecutor::run_point(const npb::Kernel& kernel, const Point& p,
     if (std::optional<RunRecord> done = journal_->find(key)) {
       note_point(kernel, p, ctx, *done, false, false, true,
                  wall_seconds() - wall_t0);
-      return *done;
+      return done;
     }
   }
-  if (std::optional<RunRecord> cached =
-          use_cache_ ? cache_.lookup(key) : std::nullopt) {
-    rec = *cached;
-    from_cache = true;
-  } else {
-    // Fast path: re-price from the column's ledger when one exists
-    // (recorded earlier in this column, or persisted by a previous
-    // process).
-    const sim::WorkLedger* ledger = nullptr;
-    if (col != nullptr && !col->recording_declined) {
-      if (!col->ledger && use_cache_ && !col->cache_checked) {
-        col->cache_checked = true;
-        col->ledger = cache_.lookup_ledger(RunCache::ledger_key(
-            kernel, cluster_, p.nodes, p.comm_dvfs_mhz));
-        if (col->ledger) note_ledger_resolved(ctx, *col->ledger);
-      }
-      ledger = col->ledger.get();
-    }
-    if (ledger != nullptr) {
-      rec = reprice_point(kernel, p, *ledger, ctx);
-      repriced = true;
-    } else if (col != nullptr && !col->recording_declined) {
-      sim::WorkLedger fresh;
-      rec = simulate_failsoft(kernel, p, ctx, &fresh);
-      if (rec.failed() || !fresh.replayable) {
-        col->recording_declined = true;
-        if (!rec.failed() && !fresh.decline_reason.empty())
-          util::log_info(util::strf(
-              "%s N=%d: charged-work recording declined (%s); the column "
-              "simulates in full",
-              kernel.name().c_str(), p.nodes, fresh.decline_reason.c_str()));
-      } else if (use_cache_) {
-        col->ledger = cache_.store_ledger(
-            RunCache::ledger_key(kernel, cluster_, p.nodes, p.comm_dvfs_mhz),
-            std::move(fresh));
-        if (col->ledger) note_ledger_resolved(ctx, *col->ledger);
-      } else {
-        col->ledger =
-            std::make_shared<const sim::WorkLedger>(std::move(fresh));
-        note_ledger_resolved(ctx, *col->ledger);
-      }
-    } else {
-      rec = simulate_point(kernel, p, ctx, key);
-    }
-    // Failed records are never cached: a later sweep with more retries
-    // (or a fixed kernel) must get a fresh chance at the point.
-    if (use_cache_ && !rec.failed()) cache_.store(key, rec);
+  std::optional<RunRecord> rec =
+      use_cache_ ? cache_.lookup(key) : std::nullopt;
+  const bool from_cache = rec.has_value();
+  if (!from_cache) {
+    rec = miss ? miss(key) : simulate_point(kernel, p, ctx, key);
+    if (!rec) return std::nullopt;
   }
+  commit_point(kernel, p, ctx, key, *rec, from_cache, false,
+               wall_seconds() - wall_t0);
+  return rec;
+}
+
+void SweepExecutor::commit_point(const npb::Kernel& kernel, const Point& p,
+                                 const ObsCtx* ctx, const std::string& key,
+                                 const RunRecord& rec, bool from_cache,
+                                 bool repriced, double elapsed_s) {
+  // Failed records are never cached: a later sweep with more retries
+  // (or a fixed kernel) must get a fresh chance at the point.
+  if (use_cache_ && !from_cache && !rec.failed()) cache_.store(key, rec);
   // Journal every resolution — cache hits included, so resume works
   // with or without a cache, and failures included, because a fault
   // abort is a deterministic outcome a resume must not re-roll.
   if (journal_) journal_->append(key, rec);
-
-  note_point(kernel, p, ctx, rec, from_cache, repriced, false,
-             wall_seconds() - wall_t0);
-  return rec;
+  note_point(kernel, p, ctx, rec, from_cache, repriced, false, elapsed_s);
 }
 
 void SweepExecutor::note_point(const npb::Kernel& kernel, const Point& p,
@@ -620,22 +528,23 @@ void SweepExecutor::note_point(const npb::Kernel& kernel, const Point& p,
 void SweepExecutor::run_column(const npb::Kernel& kernel,
                                const std::vector<Point>& points,
                                const std::vector<std::size_t>& members,
-                               const ObsCtx* ctx_of, ColumnState& col,
+                               const ObsCtx* ctx_of,
                                std::vector<RunRecord>& records) {
-  if (scalar_reprice_) {
-    // Reference path: every point prices through the scalar Repricer.
-    for (const std::size_t i : members)
-      records[i] = run_point(kernel, points[i],
-                             ctx_of ? &ctx_of[i] : nullptr, &col);
-    return;
-  }
+  // The column's charged-work ledger, resolved at its first miss:
+  // loaded from the ledger cache (consulted once — a miss is definitive
+  // this sweep) or recorded by simulating that miss in full. A declined
+  // recording (timing-dependent construct observed) sends the rest of
+  // the column to full simulation, without re-recording.
+  const Point& head = points[members.front()];
+  const std::string ledger_key =
+      RunCache::ledger_key(kernel, cluster_, head.nodes, head.comm_dvfs_mhz);
+  std::shared_ptr<const sim::WorkLedger> ledger;
+  bool ledger_checked = false;
+  bool declined = false;
 
-  // Pass 1, in grid order: cached points resolve immediately; the
-  // column's ledger is resolved (loaded, or recorded by simulating the
-  // first miss in full); every remaining frequency is deferred into one
-  // batched replay. The per-point outcomes — which point simulates,
-  // which reprices, which hits the record cache — are identical to the
-  // scalar path's by construction.
+  // Pass 1, in grid order: every point runs the per-point pipeline;
+  // once the ledger is resolved, each further miss is deferred into
+  // one batched replay.
   struct Pending {
     std::size_t index;
     std::string key;
@@ -644,77 +553,42 @@ void SweepExecutor::run_column(const npb::Kernel& kernel,
   for (const std::size_t i : members) {
     const Point& p = points[i];
     const ObsCtx* ctx = ctx_of ? &ctx_of[i] : nullptr;
-    const double wall_t0 = wall_seconds();
-    std::string key;
-    if (use_cache_ || journal_ != nullptr) key = point_key(kernel, p);
-    // Journaled resume, same contract as run_point: traced points
-    // re-simulate instead of skipping.
-    const bool tracing_point =
-        observer_ && observer_->tracing() && ctx != nullptr;
-    if (journal_ && !tracing_point) {
-      if (std::optional<RunRecord> done = journal_->find(key)) {
-        records[i] = std::move(*done);
-        note_point(kernel, p, ctx, records[i], false, false, true,
-                   wall_seconds() - wall_t0);
-        continue;
+    const auto miss =
+        [&](const std::string& key) -> std::optional<RunRecord> {
+      if (declined) return simulate_point(kernel, p, ctx, key);
+      if (!ledger && use_cache_ && !ledger_checked) {
+        ledger_checked = true;
+        ledger = cache_.lookup_ledger(ledger_key);
+        if (ledger) note_ledger_resolved(*ledger);
       }
-    }
-    if (std::optional<RunRecord> cached =
-            use_cache_ ? cache_.lookup(key) : std::nullopt) {
-      records[i] = std::move(*cached);
-      if (journal_) journal_->append(key, records[i]);
-      note_point(kernel, p, ctx, records[i], true, false, false,
-                 wall_seconds() - wall_t0);
-      continue;
-    }
-    if (!col.recording_declined) {
-      if (!col.ledger && use_cache_ && !col.cache_checked) {
-        col.cache_checked = true;
-        col.ledger = cache_.lookup_ledger(RunCache::ledger_key(
-            kernel, cluster_, p.nodes, p.comm_dvfs_mhz));
-        if (col.ledger) note_ledger_resolved(ctx, *col.ledger);
-      }
-      if (col.ledger) {
-        todo.push_back(Pending{i, std::move(key)});
-        continue;
+      if (ledger) {
+        todo.push_back(Pending{i, key});
+        return std::nullopt;
       }
       sim::WorkLedger fresh;
       RunRecord rec = simulate_failsoft(kernel, p, ctx, &fresh);
       if (rec.failed() || !fresh.replayable) {
-        col.recording_declined = true;
+        declined = true;
         if (!rec.failed() && !fresh.decline_reason.empty())
           util::log_info(util::strf(
               "%s N=%d: charged-work recording declined (%s); the column "
               "simulates in full",
               kernel.name().c_str(), p.nodes, fresh.decline_reason.c_str()));
-      } else if (use_cache_) {
-        col.ledger = cache_.store_ledger(
-            RunCache::ledger_key(kernel, cluster_, p.nodes, p.comm_dvfs_mhz),
-            std::move(fresh));
-        if (col.ledger) note_ledger_resolved(ctx, *col.ledger);
-      } else {
-        col.ledger = std::make_shared<const sim::WorkLedger>(std::move(fresh));
-        note_ledger_resolved(ctx, *col.ledger);
+        return rec;
       }
-      if (use_cache_ && !rec.failed()) cache_.store(key, rec);
-      records[i] = std::move(rec);
-      if (journal_) journal_->append(key, records[i]);
-      note_point(kernel, p, ctx, records[i], false, false, false,
-                 wall_seconds() - wall_t0);
-      continue;
-    }
-    RunRecord rec = simulate_failsoft(kernel, p, ctx);
-    if (use_cache_ && !rec.failed()) cache_.store(key, rec);
-    records[i] = std::move(rec);
-    if (journal_) journal_->append(key, records[i]);
-    note_point(kernel, p, ctx, records[i], false, false, false,
-               wall_seconds() - wall_t0);
+      ledger = use_cache_ ? cache_.store_ledger(ledger_key, std::move(fresh))
+                          : std::make_shared<const sim::WorkLedger>(
+                                std::move(fresh));
+      if (ledger) note_ledger_resolved(*ledger);
+      return rec;
+    };
+    if (std::optional<RunRecord> rec = run_point(kernel, p, ctx, miss))
+      records[i] = std::move(*rec);
   }
   if (todo.empty()) return;
 
   // Pass 2: one BatchRepricer call prices every deferred frequency
-  // simultaneously (DESIGN.md §11) — records and trace events are
-  // bit-identical to the scalar engine's, lane by lane.
+  // simultaneously (DESIGN.md §11).
   const double batch_t0 = wall_seconds();
   const bool tracing = observer_ && observer_->tracing() && ctx_of != nullptr;
   std::vector<double> freqs;
@@ -733,17 +607,15 @@ void SweepExecutor::run_column(const npb::Kernel& kernel,
   }
   const BatchRepricer repricer(cluster_, power_);
   std::vector<RunRecord> repriced =
-      repricer.reprice(*col.ledger, freqs, tracer_ptrs);
-  note_repriced_lanes(ctx_of ? &ctx_of[todo.front().index] : nullptr,
-                      todo.size(), col.ledger->total_ops() * todo.size());
+      repricer.reprice(*ledger, freqs, tracer_ptrs);
+  note_repriced_lanes(todo.size(), ledger->total_ops() * todo.size());
   // The batch call's wall cost is shared; attribute an equal share to
   // each lane's histogram sample.
   const double batch_share =
       (wall_seconds() - batch_t0) / static_cast<double>(todo.size());
 
-  // Pass 3, in grid order: per-point trace harvest, verification, log
-  // line, record-cache store and observer notification — the same
-  // per-point epilogue reprice_point runs on the scalar path.
+  // Pass 3, in grid order: per-point trace harvest, verification and
+  // log line, then the pipeline's tail.
   for (std::size_t j = 0; j < todo.size(); ++j) {
     const std::size_t i = todo[j].index;
     const Point& p = points[i];
@@ -779,18 +651,16 @@ void SweepExecutor::run_column(const npb::Kernel& kernel,
         "(repriced)",
         kernel.name().c_str(), p.nodes, p.frequency_mhz, rec.seconds,
         rec.mean_overhead_s, rec.energy.total_j(), rec.verified ? 1 : 0));
-    if (use_cache_ && !rec.failed()) cache_.store(todo[j].key, rec);
+    commit_point(kernel, p, ctx, todo[j].key, rec, false, true,
+                 batch_share + (wall_seconds() - point_t0));
     records[i] = std::move(rec);
-    if (journal_) journal_->append(todo[j].key, records[i]);
-    note_point(kernel, p, ctx, records[i], false, true, false,
-               batch_share + (wall_seconds() - point_t0));
   }
 }
 
 RunRecord SweepExecutor::run_one(const npb::Kernel& kernel, int nodes,
                                  double frequency_mhz, double comm_dvfs_mhz) {
-  return run_point(kernel, Point{nodes, frequency_mhz, comm_dvfs_mhz},
-                   nullptr);
+  return *run_point(kernel, Point{nodes, frequency_mhz, comm_dvfs_mhz},
+                    nullptr);
 }
 
 void SweepExecutor::run_points_isolated(const npb::Kernel& kernel,
@@ -1039,7 +909,7 @@ std::vector<RunRecord> SweepExecutor::run_points(
     if (points.size() <= 1 || pool_.max_threads() == 1) {
       for (std::size_t i = 0; i < points.size(); ++i)
         records[i] =
-            run_point(kernel, points[i], ctx_of ? &ctx_of[i] : nullptr);
+            *run_point(kernel, points[i], ctx_of ? &ctx_of[i] : nullptr);
       return records;
     }
     std::vector<std::future<void>> done;
@@ -1048,7 +918,7 @@ std::vector<RunRecord> SweepExecutor::run_points(
       done.push_back(
           pool_.submit([this, &kernel, &points, &records, ctx_of, i] {
             records[i] =
-                run_point(kernel, points[i], ctx_of ? &ctx_of[i] : nullptr);
+                *run_point(kernel, points[i], ctx_of ? &ctx_of[i] : nullptr);
           }));
     }
     // Drain every future before rethrowing so no task still references
@@ -1070,7 +940,7 @@ std::vector<RunRecord> SweepExecutor::run_points(
   // first cache-missing frequency simulates and records the ledger,
   // every later frequency re-prices from it — so parallelism shifts
   // from points to columns. Record values are unchanged: replay is
-  // bit-identical to full simulation (Repricer contract).
+  // bit-identical to full simulation (BatchRepricer contract).
   std::vector<std::vector<std::size_t>> columns;
   {
     std::unordered_map<long long, std::size_t> column_of;
@@ -1085,9 +955,8 @@ std::vector<RunRecord> SweepExecutor::run_points(
       columns[it->second].push_back(i);
     }
   }
-  std::vector<ColumnState> cols(columns.size());
   const auto run_col = [&](std::size_t c) {
-    run_column(kernel, points, columns[c], ctx_of, cols[c], records);
+    run_column(kernel, points, columns[c], ctx_of, records);
   };
   if (columns.size() <= 1 || pool_.max_threads() == 1) {
     for (std::size_t c = 0; c < columns.size(); ++c) run_col(c);

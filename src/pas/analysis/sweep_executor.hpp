@@ -19,8 +19,8 @@
 // §10): when a kernel declares frequency_invariant_control_flow() and
 // fault injection is off, only the first frequency of each (kernel, N,
 // comm-DVFS) column is simulated — the run records a charged-work
-// ledger and every remaining frequency of the column is re-priced
-// analytically by analysis::Repricer, bit-identical to a full run.
+// ledger and one analysis::BatchRepricer pass prices every remaining
+// frequency of the column, bit-identical to a full run (DESIGN.md §11).
 // SweepOptions::verify_replay re-simulates every repriced point and
 // hard-fails on any byte difference.
 //
@@ -47,6 +47,7 @@
 //   analysis::MatrixResult m = exec.run({&kernel, nodes, freqs_mhz});
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -137,33 +138,33 @@ class SweepExecutor {
     int sweep = -1;
     int index = -1;
   };
-  /// Shared state of one (kernel, N, comm-DVFS) column on the fast
-  /// path: the charged-work ledger its first simulated frequency
-  /// recorded, for the remaining frequencies to re-price from. Owned by
-  /// exactly one column task, so no locking.
-  struct ColumnState {
-    std::shared_ptr<const sim::WorkLedger> ledger;
-    /// Ledger cache already consulted (miss is definitive this sweep).
-    bool cache_checked = false;
-    /// Recording declined (timing-dependent construct observed): the
-    /// rest of the column simulates in full, without re-recording.
-    bool recording_declined = false;
-  };
-  RunRecord run_point(const npb::Kernel& kernel, const Point& p,
-                      const ObsCtx* ctx, ColumnState* col = nullptr);
-  /// Runs one fast-path column: cached and first-simulated points are
-  /// handled in grid order, then every remaining frequency is priced by
-  /// ONE BatchRepricer pass (DESIGN.md §11). $PASIM_SCALAR_REPRICE=1
-  /// falls back to per-point scalar repricing (the reference engine) —
-  /// tier1.sh diffs the two paths' artifacts byte-for-byte.
+  /// Resolves a point the journal and the record cache both miss:
+  /// returns its record, or nullopt to defer the point to its column's
+  /// batched replay. Receives the point's key.
+  using MissFn =
+      std::function<std::optional<RunRecord>(const std::string& key)>;
+  /// The per-point pipeline every path runs: journal resume, record-
+  /// cache lookup, then `miss` (simulate_point when empty), and
+  /// commit_point for the resolved record. Returns nullopt only for a
+  /// point `miss` deferred.
+  std::optional<RunRecord> run_point(const npb::Kernel& kernel,
+                                     const Point& p, const ObsCtx* ctx,
+                                     const MissFn& miss = {});
+  /// The pipeline's tail: record-cache store (fresh, successful records
+  /// only), journal append and note_point.
+  void commit_point(const npb::Kernel& kernel, const Point& p,
+                    const ObsCtx* ctx, const std::string& key,
+                    const RunRecord& rec, bool from_cache, bool repriced,
+                    double elapsed_s);
+  /// Runs one fast-path column through run_point in grid order: the
+  /// first miss loads or records the column's charged-work ledger, and
+  /// ONE BatchRepricer pass prices every later miss (DESIGN.md §11).
   void run_column(const npb::Kernel& kernel, const std::vector<Point>& points,
                   const std::vector<std::size_t>& members,
-                  const ObsCtx* ctx_of, ColumnState& col,
-                  std::vector<RunRecord>& records);
+                  const ObsCtx* ctx_of, std::vector<RunRecord>& records);
   /// Per-point observer accounting (wall histogram, stable counters,
-  /// report point), shared by the scalar and batched paths. `resumed`
-  /// marks a point served from the sweep journal (never also
-  /// from_cache/repriced).
+  /// report point). `resumed` marks a point served from the sweep
+  /// journal (never also from_cache/repriced).
   void note_point(const npb::Kernel& kernel, const Point& p, const ObsCtx* ctx,
                   const RunRecord& rec, bool from_cache, bool repriced,
                   bool resumed, double elapsed_s);
@@ -179,12 +180,10 @@ class SweepExecutor {
                            const std::vector<Point>& points,
                            const ObsCtx* ctx_of,
                            std::vector<RunRecord>& records);
-  /// Stable replay counters. Totals are engine-independent by
-  /// construction: the scalar path adds one lane per repriced point,
-  /// the batched path adds all of a column's lanes at once.
-  void note_repriced_lanes(const ObsCtx* ctx, std::size_t lanes,
-                           std::size_t ops);
-  void note_ledger_resolved(const ObsCtx* ctx, const sim::WorkLedger& ledger);
+  /// Stable replay counters: lanes priced and ledger ops replayed, and
+  /// the size and count of resolved column ledgers.
+  void note_repriced_lanes(std::size_t lanes, std::size_t ops);
+  void note_ledger_resolved(const sim::WorkLedger& ledger);
   /// `seg` selects RunMatrix::run_segment (checkpoint resume/capture,
   /// sampled iteration plans, DESIGN.md §14) instead of run_one; never
   /// combined with `ledger_out` (a partial or sampled segment must not
@@ -210,10 +209,6 @@ class SweepExecutor {
   /// "|sampled(p=..,w=..)" suffix), so the two populations can never
   /// satisfy each other's lookups.
   std::string point_key(const npb::Kernel& kernel, const Point& p) const;
-  /// Replays `ledger` at p.frequency_mhz (with the trace harvest and
-  /// verification pass when configured).
-  RunRecord reprice_point(const npb::Kernel& kernel, const Point& p,
-                          const sim::WorkLedger& ledger, const ObsCtx* ctx);
   /// The exactness gate: true when every point of this sweep may use
   /// the charged-work fast path.
   bool fast_path_eligible(const npb::Kernel& kernel) const;
@@ -233,8 +228,6 @@ class SweepExecutor {
   int warmup_iters_;
   double verify_sampling_;
   bool checkpoints_;
-  /// $PASIM_SCALAR_REPRICE: force per-point scalar repricing.
-  bool scalar_reprice_;
   /// Write-ahead journal behind --resume/--isolate; null when not
   /// configured.
   std::unique_ptr<SweepJournal> journal_;

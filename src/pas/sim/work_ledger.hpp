@@ -10,18 +10,18 @@
 // InstructionMix, every raw-seconds charge, and every communication
 // event (peer, tag, wire bytes, blocking-ness). Deliberately *no*
 // charged seconds are stored for frequency-dependent work — the
-// replayer (analysis::Repricer) re-runs the identical arithmetic
+// replayer (analysis::BatchRepricer) re-runs the identical arithmetic
 // through the same CpuModel/NetworkConfig code at the new operating
 // point, which is what makes replayed records bit-identical to full
 // simulation rather than merely close (DESIGN.md §10).
 //
 // Storage is a single contiguous arena of WorkOps grouped by rank,
-// addressed through per-rank spans: the replay engines scan it
-// cache-linearly, and the (batch) repricer's per-op inner loop never
-// chases an outer vector-of-vectors indirection (DESIGN.md §11). The
-// recorder appends into fixed-size per-rank chunks so the rank threads
-// pay no geometric reallocation copies; take() splices the chunks into
-// the arena once, after the pool join.
+// addressed through per-rank spans: replay scans it cache-linearly,
+// and the repricer's per-op inner loop never chases an outer
+// vector-of-vectors indirection (DESIGN.md §11). The recorder appends
+// into fixed-size per-rank chunks so the rank threads pay no geometric
+// reallocation copies; take() splices the chunks into the arena once,
+// after the pool join.
 //
 // A ledger is only valid for kernels whose control flow is independent
 // of virtual time (npb::Kernel::frequency_invariant_control_flow());

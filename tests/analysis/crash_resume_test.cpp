@@ -9,9 +9,7 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <filesystem>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -62,27 +60,6 @@ util::Cli make_cli(std::initializer_list<const char*> args) {
   argv.insert(argv.end(), args.begin(), args.end());
   return util::Cli(static_cast<int>(argv.size()), argv.data());
 }
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    if (value != nullptr)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (old_)
-      ::setenv(name_, old_->c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
 
 std::uint64_t counter_value(const char* name) {
   return obs::registry().counter(name).value();
@@ -137,68 +114,60 @@ class SleepyKernel : public npb::Kernel {
 
 // The tentpole guarantee: a --jobs 8 sweep SIGKILLed mid-flight, then
 // resumed, produces records bit-identical to an uninterrupted --jobs 1
-// run — on the batched reprice engine AND the scalar reference engine.
+// run.
 TEST(CrashResume, KilledParallelSweepResumesBitIdentical) {
   const auto env = ExperimentEnv::small();
   const auto kernel = make_kernel("FT", Scale::kSmall);
   const std::vector<int> nodes{1, 2};
   const std::vector<double> freqs{600, 1000, 1400};
+  const std::string journal = temp_dir("resume") + "/sweep.journal";
 
-  for (const char* engine : {"", "1"}) {
-    SCOPED_TRACE(std::string("PASIM_SCALAR_REPRICE=") + engine);
-    ScopedEnv scalar("PASIM_SCALAR_REPRICE", *engine ? engine : nullptr);
-    const std::string journal =
-        temp_dir(std::string("resume") + (*engine ? "_scalar" : "")) +
-        "/sweep.journal";
+  SweepSpec ref_spec;
+  ref_spec.cluster = env.cluster;
+  ref_spec.options.jobs = 1;
+  ref_spec.options.use_cache = false;
+  SweepExecutor reference(ref_spec);
+  const MatrixResult want = reference.run({kernel.get(), nodes, freqs});
 
-    SweepSpec ref_spec;
-    ref_spec.cluster = env.cluster;
-    ref_spec.options.jobs = 1;
-    ref_spec.options.use_cache = false;
-    SweepExecutor reference(ref_spec);
-    const MatrixResult want =
-        reference.run({kernel.get(), nodes, freqs});
+  // Child: same sweep at --jobs 4 with a fresh journal, armed to die
+  // right after the 3rd completed point hits the disk.
+  const npb::Kernel* k = kernel.get();
+  const util::Subprocess::Result crashed = util::Subprocess::call(
+      [&env, &journal, k, &nodes, &freqs]() -> int {
+        SweepJournal::set_crash_after_appends(3);
+        SweepSpec spec;
+        spec.cluster = env.cluster;
+        spec.options.jobs = 4;
+        spec.options.use_cache = false;
+        spec.options.journal_path = journal;
+        SweepExecutor exec(spec);
+        exec.run({k, nodes, freqs});
+        return 0;  // unreachable: the sweep has 6 points
+      },
+      /*timeout_s=*/90.0);
+  ASSERT_TRUE(crashed.signaled) << crashed.describe();
+  ASSERT_EQ(crashed.term_signal, SIGKILL);
 
-    // Child: same sweep at --jobs 4 with a fresh journal, armed to die
-    // right after the 3rd completed point hits the disk.
-    const npb::Kernel* k = kernel.get();
-    const util::Subprocess::Result crashed = util::Subprocess::call(
-        [&env, &journal, k, &nodes, &freqs]() -> int {
-          SweepJournal::set_crash_after_appends(3);
-          SweepSpec spec;
-          spec.cluster = env.cluster;
-          spec.options.jobs = 4;
-          spec.options.use_cache = false;
-          spec.options.journal_path = journal;
-          SweepExecutor exec(spec);
-          exec.run({k, nodes, freqs});
-          return 0;  // unreachable: the sweep has 6 points
-        },
-        /*timeout_s=*/90.0);
-    ASSERT_TRUE(crashed.signaled) << crashed.describe();
-    ASSERT_EQ(crashed.term_signal, SIGKILL);
-
-    // Exactly three points survived the kill.
-    {
-      SweepJournal peek(journal, /*resume=*/true);
-      EXPECT_EQ(peek.entries(), 3u);
-    }
-
-    const std::uint64_t resumed_before = counter_value("sweep.points_resumed");
-    SweepSpec resume_spec;
-    resume_spec.cluster = env.cluster;
-    resume_spec.options.jobs = 8;
-    resume_spec.options.use_cache = false;
-    resume_spec.options.journal_path = journal;
-    resume_spec.options.resume = true;
-    SweepExecutor resumer(resume_spec);
-    const MatrixResult got = resumer.run({kernel.get(), nodes, freqs});
-
-    ASSERT_EQ(got.records.size(), want.records.size());
-    for (std::size_t i = 0; i < want.records.size(); ++i)
-      expect_identical(got.records[i], want.records[i]);
-    EXPECT_EQ(counter_value("sweep.points_resumed") - resumed_before, 3u);
+  // Exactly three points survived the kill.
+  {
+    SweepJournal peek(journal, /*resume=*/true);
+    EXPECT_EQ(peek.entries(), 3u);
   }
+
+  const std::uint64_t resumed_before = counter_value("sweep.points_resumed");
+  SweepSpec resume_spec;
+  resume_spec.cluster = env.cluster;
+  resume_spec.options.jobs = 8;
+  resume_spec.options.use_cache = false;
+  resume_spec.options.journal_path = journal;
+  resume_spec.options.resume = true;
+  SweepExecutor resumer(resume_spec);
+  const MatrixResult got = resumer.run({kernel.get(), nodes, freqs});
+
+  ASSERT_EQ(got.records.size(), want.records.size());
+  for (std::size_t i = 0; i < want.records.size(); ++i)
+    expect_identical(got.records[i], want.records[i]);
+  EXPECT_EQ(counter_value("sweep.points_resumed") - resumed_before, 3u);
 }
 
 TEST(CrashResume, CorruptCacheEntriesQuarantineAndResimulate) {
