@@ -216,6 +216,17 @@ for f in "$REF"/*; do
   cmp "$f" "$CRASH_OUT/$(basename "$f")"
 done
 echo "crash/resume OK (artifacts byte-identical to clean run)"
+# --isolate leg: every column runs in a forked worker under the column
+# supervisor and reports through the journal; the artifacts must match
+# the in-process run byte for byte.
+mkdir -p "$ROBUST_DIR/iso"
+"$ROOT/build/bench/full_report" --small --jobs 4 --no-cache --isolate \
+  --journal "$ROBUST_DIR/iso/sweep.journal" --out "$ROBUST_DIR/iso_out" \
+  >/dev/null 2>&1
+for f in "$REF"/*; do
+  cmp "$f" "$ROBUST_DIR/iso_out/$(basename "$f")"
+done
+echo "isolated sweep OK (artifacts byte-identical to in-process run)"
 # Corrupt what the crashes left behind: flip a byte inside one record
 # entry, cut one ledger short. A journal-less re-run (so every point
 # actually reads the cache instead of being served from the journal)

@@ -1,7 +1,5 @@
 #include "pas/analysis/sweep_executor.hpp"
 
-#include <csignal>
-
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -11,13 +9,13 @@
 #include <utility>
 
 #include "pas/analysis/batch_repricer.hpp"
+#include "pas/analysis/column_supervisor.hpp"
 #include "pas/analysis/experiment.hpp"
 #include "pas/obs/metrics.hpp"
 #include "pas/util/cli.hpp"
 #include "pas/util/format.hpp"
 #include "pas/util/fs.hpp"
 #include "pas/util/log.hpp"
-#include "pas/util/subprocess.hpp"
 
 namespace pas::analysis {
 namespace {
@@ -55,6 +53,26 @@ double wall_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Groups the indices of `points` into (N, comm-DVFS) columns, the unit
+/// one ledger prices, in first-appearance order. Indices `skip` marks
+/// are left out.
+std::vector<std::vector<std::size_t>> group_columns(
+    const std::vector<SweepExecutor::Point>& points,
+    const std::vector<char>& skip = {}) {
+  std::vector<std::vector<std::size_t>> columns;
+  std::unordered_map<long long, std::size_t> column_of;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (!skip.empty() && skip[i]) continue;
+    const long long column_key =
+        (static_cast<long long>(points[i].nodes) << 32) |
+        static_cast<long long>(sim::NodeState::fkey(points[i].comm_dvfs_mhz));
+    const auto [it, inserted] = column_of.emplace(column_key, columns.size());
+    if (inserted) columns.emplace_back();
+    columns[it->second].push_back(i);
+  }
+  return columns;
 }
 
 }  // namespace
@@ -678,6 +696,9 @@ void SweepExecutor::run_points_isolated(const npb::Kernel& kernel,
       o::registry().counter("sweep.worker_timeouts");
   static o::Counter& worker_retries =
       o::registry().counter("sweep.worker_retries");
+  ColumnSupervisor supervisor(
+      *journal_, {"isolate", isolate_timeout_s_, isolate_retries_},
+      {worker_crashes, worker_timeouts, worker_retries});
 
   // Pre-pass: points the journal already holds (a --resume of a killed
   // isolated sweep) never reach a worker. Tracing is off by contract
@@ -695,188 +716,89 @@ void SweepExecutor::run_points_isolated(const npb::Kernel& kernel,
     }
   }
 
-  // Group the unresolved remainder into (N, comm-DVFS) columns — the
-  // same unit the fast path uses, so a worker child prices its column
-  // with one ledger however many frequencies it carries.
-  struct Job {
+  // The unresolved remainder, by column: a worker child prices its
+  // column with one ledger however many frequencies it carries.
+  struct Job : ColumnSupervisor::Column {
     std::vector<std::size_t> members;
-    int attempts = 0;
-    double not_before = 0.0;
   };
-  std::vector<Job> jobs;
-  {
-    std::unordered_map<long long, std::size_t> job_of;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (resolved[i]) continue;
-      const long long column_key =
-          (static_cast<long long>(points[i].nodes) << 32) |
-          static_cast<long long>(sim::NodeState::fkey(points[i].comm_dvfs_mhz));
-      const auto [it, inserted] = job_of.emplace(column_key, jobs.size());
-      if (inserted) jobs.emplace_back();
-      jobs[it->second].members.push_back(i);
+  std::vector<std::shared_ptr<Job>> queue;
+  for (std::vector<std::size_t>& members : group_columns(points, resolved)) {
+    auto job = std::make_shared<Job>();
+    for (const std::size_t i : members) {
+      job->points.push_back(points[i]);
+      job->keys.push_back(keys[i]);
     }
+    job->label = util::strf("%s N=%d", kernel.name().c_str(),
+                            points[members.front()].nodes);
+    job->members = std::move(members);
+    queue.push_back(std::move(job));
   }
-
-  struct Live {
-    util::Subprocess::Handle handle;
-    std::size_t job = 0;
-    double t0 = 0.0;
-    double deadline = 0.0;
-    bool timed_out = false;
-  };
-  std::vector<Live> live;
-  std::vector<std::size_t> queue;
-  queue.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) queue.push_back(j);
-  const std::size_t window =
-      static_cast<std::size_t>(std::max(1, pool_.max_threads()));
-  const std::string journal_path = journal_->path();
-
-  const auto launch = [&](std::size_t ji) {
-    Job& job = jobs[ji];
-    ++job.attempts;
-    isolated_columns.add();
-    // Only the members no earlier attempt journaled: a re-forked child
-    // resumes past its predecessor without reading the journal.
-    std::vector<Point> member_points;
-    member_points.reserve(job.members.size());
-    for (const std::size_t i : job.members)
-      if (!resolved[i]) member_points.push_back(points[i]);
-    Live l;
-    // fork without exec: the child builds a FRESH executor (fresh rank
-    // pool, fresh RunMatrix — the parent's pool threads do not survive
-    // the fork), attaches to the shared journal and reports through it.
-    l.handle = util::Subprocess::spawn(
-        [this, &kernel, member_points, &journal_path]() -> int {
-          SweepSpec spec;
-          spec.cluster = cluster_;
-          spec.power = power_;
-          spec.options.jobs = 1;
-          spec.options.cache_dir = cache_.dir();
-          spec.options.cache_cap_bytes = cache_.cap_bytes();
-          spec.options.use_cache = use_cache_;
-          spec.options.run_retries = run_retries_;
-          spec.options.verify_replay = verify_replay_;
-          spec.options.sampling = sampling_;
-          spec.options.sample_period = sample_period_;
-          spec.options.warmup_iters = warmup_iters_;
-          spec.options.verify_sampling = verify_sampling_;
-          spec.options.checkpoints = checkpoints_;
-          SweepExecutor child(std::move(spec));
-          child.attach_journal(journal_path);
-          child.run_points(kernel, member_points);
-          return 0;
-        });
-    l.job = ji;
-    l.t0 = wall_seconds();
-    l.deadline = l.t0 + isolate_timeout_s_;
-    live.push_back(std::move(l));
-  };
-
-  while (!queue.empty() || !live.empty()) {
-    const double now = wall_seconds();
-    for (auto it = queue.begin(); it != queue.end() && live.size() < window;) {
-      if (jobs[*it].not_before <= now) {
-        launch(*it);
-        it = queue.erase(it);
+  // Records what the journal now holds of `job`; given up, the rest
+  // become fail-soft records. Deliberately NOT journaled: a crash is an
+  // environmental accident, and a --resume should retry the point.
+  const auto settle = [&](const Job& job, const ColumnSupervisor::Exit* exit) {
+    const bool gave_up =
+        exit != nullptr && exit->outcome == ColumnSupervisor::Outcome::kGaveUp;
+    for (const std::size_t i : job.members) {
+      if (resolved[i]) continue;
+      if (std::optional<RunRecord> done = journal_->find(keys[i])) {
+        records[i] = std::move(*done);
+      } else if (gave_up) {
+        RunRecord rec;
+        rec.nodes = points[i].nodes;
+        rec.frequency_mhz = points[i].frequency_mhz;
+        rec.status = exit->result.timed_out ? RunStatus::kTimeout
+                                            : RunStatus::kCrashed;
+        rec.error = "isolated worker " + exit->result.describe();
+        rec.attempts = job.attempts;
+        records[i] = std::move(rec);
       } else {
-        ++it;
-      }
-    }
-    // Sleep until a child exits or the nearest live deadline or (with a
-    // free slot) queued backoff gate comes due.
-    double wake_at = -1.0;
-    const auto due = [&wake_at](double t) {
-      if (wake_at < 0.0 || t < wake_at) wake_at = t;
-    };
-    std::vector<const util::Subprocess::Handle*> children;
-    for (const Live& l : live) {
-      children.push_back(&l.handle);
-      if (!l.timed_out) due(l.deadline);
-    }
-    if (live.size() < window)
-      for (const std::size_t ji : queue) due(jobs[ji].not_before);
-    util::Subprocess::wait_any(
-        children,
-        wake_at < 0.0 ? -1.0 : std::max(0.0, wake_at - wall_seconds()));
-    for (std::size_t k = 0; k < live.size();) {
-      Live& l = live[k];
-      if (!l.handle.poll()) {
-        if (!l.timed_out && wall_seconds() > l.deadline) {
-          l.timed_out = true;
-          l.handle.kill(SIGKILL);
-        }
-        ++k;
         continue;
       }
-      util::Subprocess::Result res = l.handle.result();
-      res.timed_out = res.timed_out || l.timed_out;
-      Job& job = jobs[l.job];
-      // Harvest whatever the child journaled — a crashed worker's
-      // completed points survive, only in-flight work is lost.
-      journal_->refresh();
-      bool complete = true;
-      const double elapsed = wall_seconds() - l.t0;
-      for (const std::size_t i : job.members) {
-        if (resolved[i]) continue;
-        if (std::optional<RunRecord> done = journal_->find(keys[i])) {
-          records[i] = std::move(*done);
-          resolved[i] = 1;
-          note_point(kernel, points[i], ctx_of ? &ctx_of[i] : nullptr,
-                     records[i], false, false, false, elapsed);
-        } else {
-          complete = false;
-        }
+      resolved[i] = 1;
+      note_point(kernel, points[i], ctx_of ? &ctx_of[i] : nullptr, records[i],
+                 false, false, false, exit ? exit->elapsed_s : 0.0);
+    }
+  };
+
+  // The child builds a FRESH executor (fresh rank pool, fresh RunMatrix)
+  // from this one's spec and runs the caller's kernel object on the
+  // shared journal.
+  const std::string journal_path = journal_->path();
+  const ColumnSupervisor::Body body = [&](const std::vector<Point>& pending) {
+    SweepSpec spec = spec_;
+    spec.options.jobs = 1;
+    spec.options.isolate = false;
+    spec.options.journal_path.clear();
+    spec.observer = nullptr;
+    SweepExecutor child(std::move(spec));
+    child.attach_journal(journal_path);
+    child.run_points(kernel, pending);
+  };
+  const std::size_t window =
+      static_cast<std::size_t>(std::max(1, pool_.max_threads()));
+  for (;;) {
+    double gate = -1.0;  // the nearest backoff gate, while a slot is free
+    for (auto it = queue.begin();
+         it != queue.end() && supervisor.live() < window;) {
+      const std::shared_ptr<Job> job = *it;
+      if (job->not_before > ColumnSupervisor::now()) {
+        if (gate < 0.0 || job->not_before < gate) gate = job->not_before;
+        ++it;
+        continue;
       }
-      if (!complete) {
-        if (res.timed_out)
-          worker_timeouts.add();
-        else
-          worker_crashes.add();
-        // The dead child may have left a torn frame; appending after it
-        // would hide every later record, so repair before anyone else
-        // writes at that offset. Safe against live writers: repair
-        // holds the journal flock, and anything past the last good
-        // frame is unreachable garbage by definition.
-        journal_->repair_tail();
-        const Point& p0 = points[job.members.front()];
-        if (job.attempts <= isolate_retries_) {
-          worker_retries.add();
-          // Same doubling policy as message-send retries (pas::fault),
-          // at supervisor scale: 50 ms base.
-          const double backoff = fault::backoff_s(0.05, job.attempts - 1);
-          job.not_before = wall_seconds() + backoff;
-          queue.push_back(l.job);
-          util::log_warn(util::strf(
-              "%s N=%d column worker %s; retrying in %.0f ms (attempt "
-              "%d/%d)",
-              kernel.name().c_str(), p0.nodes, res.describe().c_str(),
-              backoff * 1e3, job.attempts + 1, isolate_retries_ + 1));
-        } else {
-          util::log_warn(util::strf(
-              "%s N=%d column worker %s after %d attempt(s); recording "
-              "unfinished points as %s",
-              kernel.name().c_str(), p0.nodes, res.describe().c_str(),
-              job.attempts, res.timed_out ? "timeout" : "crashed"));
-          for (const std::size_t i : job.members) {
-            if (resolved[i]) continue;
-            RunRecord rec;
-            rec.nodes = points[i].nodes;
-            rec.frequency_mhz = points[i].frequency_mhz;
-            rec.status =
-                res.timed_out ? RunStatus::kTimeout : RunStatus::kCrashed;
-            rec.error = "isolated worker " + res.describe();
-            rec.attempts = job.attempts;
-            records[i] = std::move(rec);
-            resolved[i] = 1;
-            // Deliberately NOT journaled: a crash is an environmental
-            // accident, and a --resume should retry the point for real.
-            note_point(kernel, points[i], ctx_of ? &ctx_of[i] : nullptr,
-                       records[i], false, false, false, elapsed);
-          }
-        }
-      }
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      it = queue.erase(it);
+      if (supervisor.launch(job, body))
+        isolated_columns.add();
+      else
+        settle(*job, nullptr);
+    }
+    if (queue.empty() && supervisor.live() == 0) break;
+    supervisor.wait(gate);
+    for (const ColumnSupervisor::Exit& e : supervisor.reap()) {
+      const auto job = std::static_pointer_cast<Job>(e.column);
+      settle(*job, &e);
+      if (e.outcome == ColumnSupervisor::Outcome::kRetry) queue.push_back(job);
     }
   }
 }
@@ -935,26 +857,12 @@ std::vector<RunRecord> SweepExecutor::run_points(
     return records;
   }
 
-  // Frequency collapse: group the grid into (N, comm-DVFS) columns in
-  // first-appearance order. Each column is one sequential task — its
-  // first cache-missing frequency simulates and records the ledger,
-  // every later frequency re-prices from it — so parallelism shifts
-  // from points to columns. Record values are unchanged: replay is
+  // Frequency collapse: each column is one sequential task — its first
+  // cache-missing frequency simulates and records the ledger, every
+  // later frequency re-prices from it — so parallelism shifts from
+  // points to columns. Record values are unchanged: replay is
   // bit-identical to full simulation (BatchRepricer contract).
-  std::vector<std::vector<std::size_t>> columns;
-  {
-    std::unordered_map<long long, std::size_t> column_of;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const long long column_key =
-          (static_cast<long long>(points[i].nodes) << 32) |
-          static_cast<long long>(
-              sim::NodeState::fkey(points[i].comm_dvfs_mhz));
-      const auto [it, inserted] = column_of.emplace(column_key,
-                                                    columns.size());
-      if (inserted) columns.emplace_back();
-      columns[it->second].push_back(i);
-    }
-  }
+  const std::vector<std::vector<std::size_t>> columns = group_columns(points);
   const auto run_col = [&](std::size_t c) {
     run_column(kernel, points, columns[c], ctx_of, records);
   };

@@ -168,13 +168,10 @@ class SweepExecutor {
   void note_point(const npb::Kernel& kernel, const Point& p, const ObsCtx* ctx,
                   const RunRecord& rec, bool from_cache, bool repriced,
                   bool resumed, double elapsed_s);
-  /// The --isolate supervisor: forks one child per unresolved column
-  /// (sliding window of `jobs` live children, wall-clock deadlines,
-  /// bounded exponential-backoff re-forks), hands each attempt only its
-  /// still-unresolved members on an attached journal, harvests results
-  /// through that journal, and synthesizes fail-soft kCrashed/kTimeout
-  /// records for columns that never complete. Sleeps until a child
-  /// exits or the nearest deadline or backoff. Runs on the calling
+  /// --isolate: runs each column the journal does not already hold in
+  /// a forked child under the ColumnSupervisor policy (DESIGN.md §12),
+  /// at most `jobs` live at once, and records kCrashed/kTimeout for
+  /// members of a column the supervisor gives up. Runs on the calling
   /// thread only — forking from pool workers is not fork-safe.
   void run_points_isolated(const npb::Kernel& kernel,
                            const std::vector<Point>& points,

@@ -208,6 +208,7 @@ void SweepJournal::init_fresh() {
                         std::string(std::strerror(err)) +
                         "; journaling disabled for this run");
     write_failed_ = true;
+    create_error_ = err;
     return;
   }
   reopen_locked();

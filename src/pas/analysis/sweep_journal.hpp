@@ -122,6 +122,11 @@ class SweepJournal {
 
   std::size_t entries() const;
   const std::string& path() const { return path_; }
+  /// The errno that kept this handle from creating its journal file, or
+  /// 0. Such a handle journals nothing (a sweep degrades to running
+  /// without one); a supervisor, whose workers report only through the
+  /// journal, refuses it.
+  int create_error() const { return create_error_; }
   /// Frame bytes (everything past the magic line) this handle has read
   /// from journal files so far. The cost model of refresh(), made
   /// observable for tests.
@@ -157,6 +162,7 @@ class SweepJournal {
   mutable std::mutex mutex_;
   std::unordered_map<std::string, RunRecord> records_;
   bool write_failed_ = false;  ///< first failure already logged
+  int create_error_ = 0;       ///< errno of a failed init_fresh()
 
   /// Guards the read cursor below.
   mutable std::mutex read_mutex_;

@@ -28,8 +28,8 @@ namespace pas::fault {
 
 /// The repo's one exponential-backoff policy: base * 2^retry (retry is
 /// 0-based, clamped to [0, 62]). Used by message-send retries here and
-/// by the sweep supervisor's crashed-worker retries (SweepExecutor
-/// --isolate) so both layers back off identically.
+/// by analysis::ColumnSupervisor's crashed-worker retries (--isolate and
+/// pasim_serve) so both layers back off identically.
 double backoff_s(double base_s, int retry);
 
 /// Base of every fault-induced abort. SweepExecutor treats these (and

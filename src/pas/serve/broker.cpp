@@ -1,31 +1,21 @@
 #include "pas/serve/broker.hpp"
 
-#include <signal.h>
 #include <sys/stat.h>
 
-#include <chrono>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "pas/analysis/experiment.hpp"
-#include "pas/fault/fault.hpp"
 #include "pas/serve/artifact_store.hpp"
 #include "pas/serve/client.hpp"
 #include "pas/serve/protocol.hpp"
 #include "pas/util/format.hpp"
 #include "pas/util/log.hpp"
-#include "pas/util/subprocess.hpp"
 
 namespace pas::serve {
 namespace {
-
-double mono_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// mkdir -p: the journal is published into the cache directory before
 /// the cache's own first store would create it.
@@ -162,27 +152,22 @@ void fill_column_spec(analysis::SweepSpec* dst, const analysis::SweepSpec& src,
   dst->options.checkpoints = src.options.checkpoints;
 }
 
-/// One attempt at a column, in a forked worker or inline: a fresh
-/// executor attached to the journal runs the members still unresolved.
-void run_attempt(const analysis::SweepSpec& spec,
-                 const std::string& journal_path,
-                 const std::vector<analysis::SweepExecutor::Point>& points) {
-  analysis::SweepExecutor exec(spec);
-  exec.attach_journal(journal_path);
-  const std::unique_ptr<npb::Kernel> kernel =
-      analysis::make_spec_kernel(exec.spec());
-  exec.run_points(*kernel, points);
+/// A column worker's child body: a fresh executor over the column's
+/// spec, attached to the shared journal, runs the members still to do.
+/// It holds copies: the child never touches the broker's objects.
+analysis::ColumnSupervisor::Body worker_body(analysis::SweepSpec spec,
+                                             std::string journal_path) {
+  return [spec = std::move(spec), journal_path = std::move(journal_path)](
+             const std::vector<analysis::SweepExecutor::Point>& pending) {
+    analysis::SweepExecutor exec(spec);
+    exec.attach_journal(journal_path);
+    const std::unique_ptr<npb::Kernel> kernel =
+        analysis::make_spec_kernel(exec.spec());
+    exec.run_points(*kernel, pending);
+  };
 }
 
 }  // namespace
-
-struct Broker::Live {
-  util::Subprocess::Handle handle;
-  std::shared_ptr<Column> col;
-  double t0 = 0.0;
-  double deadline = 0.0;
-  bool timed_out = false;
-};
 
 Broker::Broker(BrokerOptions opts)
     : opts_(validate_options(std::move(opts))),
@@ -206,6 +191,9 @@ Broker::Broker(BrokerOptions opts)
       steal_empty_(obs::registry().counter("serve.steal_empty")),
       steal_given_(obs::registry().counter("serve.steal_given")),
       steal_reclaimed_(obs::registry().counter("serve.steal_reclaimed")),
+      supervisor_(journal_,
+                  {"serve", opts_.worker_timeout_s, opts_.worker_retries},
+                  {worker_crashes_, worker_timeouts_, worker_restarts_}),
       scheduler_([this] { scheduler_main(); }) {}
 
 void Broker::configure_peering(const std::string& self,
@@ -346,6 +334,7 @@ Broker::SweepResult Broker::run(const analysis::SweepSpec& spec,
       }
       auto col = std::make_shared<Column>();
       col->id = id;
+      col->label = util::strf("%s N=%d", spec.kernel.c_str(), nodes);
       col->basis = plan.basis_of.at(nodes);
       col->portable = fabric;
       if (store) {
@@ -402,12 +391,6 @@ Broker::SweepResult Broker::run(const analysis::SweepSpec& spec,
     }
   }
   return out;
-}
-
-bool Broker::column_complete(const Column& col) {
-  for (const std::string& key : col.keys)
-    if (!journal_.find(key)) return false;
-  return true;
 }
 
 void Broker::synthesize_failures(Column& col, bool timed_out,
@@ -487,7 +470,8 @@ std::optional<util::Json> Broker::give_column() {
         if ((*it)->portable && (*it)->owner < 0 && (*it)->stolen_from < 0) {
           col = *it;
           queue_.erase(it);
-          lent_.push_back(Lent{col, mono_seconds() + steal_deadline_s()});
+          lent_.push_back(Lent{
+              col, analysis::ColumnSupervisor::now() + steal_deadline_s()});
           break;
         }
       }
@@ -520,6 +504,8 @@ bool Broker::submit_stolen(const util::Json& descriptor, int victim) {
 
   auto col = std::make_shared<Column>();
   col->stolen_from = victim;
+  col->label = util::strf("%s N=%d", spec.kernel.c_str(),
+                          plan.points.front().nodes);
   col->basis = plan.basis_of.begin()->second;
   col->points = plan.points;
   col->keys = plan.keys;
@@ -565,7 +551,7 @@ void Broker::push_back_stolen(const std::shared_ptr<Column>& col) {
 void Broker::steal_probe() {
   const std::shared_ptr<ArtifactStore> store = store_snapshot();
   if (!store) return;
-  const double now = mono_seconds();
+  const double now = analysis::ColumnSupervisor::now();
   if (now < next_steal_) return;
   next_steal_ = now + 0.1;
   const std::size_t n = store->peer_count();
@@ -605,7 +591,7 @@ void Broker::start_forward(std::shared_ptr<Column> col) {
   // Raced with stop: fail the column soft here — the stop drain
   // already ran or is running, and nobody else will finish it.
   journal_.refresh();
-  if (!column_complete(*col))
+  if (!supervisor_.complete(*col))
     synthesize_failures(*col, false, "serve: server shut down");
   finish_column(col);
 }
@@ -623,8 +609,8 @@ void Broker::forward_main(std::shared_ptr<Column> col) {
     // The owner is unreachable (or answered garbage): fall back to
     // local execution — fabric failures cost latency, never answers.
     util::log_warn(util::strf(
-        "serve: forwarding %s N=%d failed; reclaiming the column locally",
-        col->spec.kernel.c_str(), col->points.front().nodes));
+        "serve: forwarding %s failed; reclaiming the column locally",
+        col->label.c_str()));
     std::lock_guard<std::mutex> lock(mutex_);
     col->owner = -1;
     queue_.push_back(std::move(col));
@@ -654,11 +640,11 @@ void Broker::lent_pass() {
   journal_.refresh();
   std::vector<std::shared_ptr<Column>> completed;
   std::size_t reclaimed = 0;
-  const double now = mono_seconds();
+  const double now = analysis::ColumnSupervisor::now();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto it = lent_.begin(); it != lent_.end();) {
-      if (column_complete(*it->col)) {
+      if (supervisor_.complete(*it->col)) {
         completed.push_back(it->col);
         it = lent_.erase(it);
       } else if (now > it->deadline) {
@@ -700,71 +686,7 @@ void Broker::reap_forwards(bool all) {
   for (std::thread& t : finished) t.join();
 }
 
-std::vector<analysis::SweepExecutor::Point> Broker::unresolved_points(
-    const Column& col) const {
-  std::vector<analysis::SweepExecutor::Point> pending;
-  for (std::size_t i = 0; i < col.keys.size(); ++i)
-    if (!journal_.find(col.keys[i])) pending.push_back(col.points[i]);
-  return pending;
-}
-
-void Broker::launch(std::shared_ptr<Column> col, std::vector<Live>& live) {
-  // The index is current as of the last harvest, so a retried column
-  // resumes past its predecessor's points without the worker reading
-  // the journal.
-  const std::vector<analysis::SweepExecutor::Point> pending =
-      unresolved_points(*col);
-  if (pending.empty()) {  // another column journaled them meanwhile
-    finish_column(col);
-    return;
-  }
-  ++col->attempts;
-  // Plain copies for the child: it must never touch parent objects.
-  const analysis::SweepSpec child_spec = col->spec;
-  const std::string journal_path = opts_.journal_path;
-  Live l;
-  l.col = std::move(col);
-  // fork without exec, from this thread only (fork safety): the child
-  // builds a fresh executor over the shared cache directory, attaches
-  // to the journal and reports through its flock'd appends.
-  l.handle =
-      util::Subprocess::spawn([child_spec, pending, journal_path]() -> int {
-        run_attempt(child_spec, journal_path, pending);
-        return 0;
-      });
-  l.t0 = mono_seconds();
-  l.deadline = l.t0 + opts_.worker_timeout_s;
-  live.push_back(std::move(l));
-}
-
-void Broker::run_inline(const std::shared_ptr<Column>& col) {
-  const std::vector<analysis::SweepExecutor::Point> pending =
-      unresolved_points(*col);
-  if (!pending.empty()) {
-    ++col->attempts;
-    try {
-      run_attempt(col->spec, opts_.journal_path, pending);
-    } catch (const std::exception& e) {
-      util::log_warn(util::strf("serve: inline column failed: %s", e.what()));
-    }
-    journal_.refresh();
-  }
-  if (!column_complete(*col)) {
-    worker_crashes_.add();
-    if (col->attempts <= opts_.worker_retries) {
-      worker_restarts_.add();
-      std::lock_guard<std::mutex> lock(mutex_);
-      queue_.push_back(col);
-      return;
-    }
-    synthesize_failures(*col, /*timed_out=*/false,
-                        "serve: inline execution failed");
-  }
-  finish_column(col);
-}
-
 void Broker::scheduler_main() {
-  std::vector<Live> live;
   const std::size_t window = static_cast<std::size_t>(opts_.workers);
   for (;;) {
     std::shared_ptr<Column> next;
@@ -784,8 +706,8 @@ void Broker::scheduler_main() {
             ++it;
           }
         }
-        if (live.size() < window) {
-          const double now = mono_seconds();
+        if (supervisor_.live() < window) {
+          const double now = analysis::ColumnSupervisor::now();
           for (auto it = queue_.begin(); it != queue_.end(); ++it) {
             if ((*it)->not_before <= now) {
               next = *it;
@@ -805,34 +727,21 @@ void Broker::scheduler_main() {
       if (const std::shared_ptr<ArtifactStore> store = store_snapshot())
         store->shutdown_links();
       reap_forwards(/*all=*/true);
-      // Fail everything soft so blocked run() calls return: SIGKILL
-      // live workers, synthesize for their columns, the queue and the
-      // lent-out columns (their thieves may answer too late).
-      for (Live& l : live) {
-        if (l.handle.running()) l.handle.kill(SIGKILL);
-        l.handle.wait();
+      // Fail everything soft so blocked run() calls return: the live
+      // workers' columns, the queue and the lent-out columns (their
+      // thieves may answer too late).
+      std::vector<std::shared_ptr<Column>> drain;
+      for (auto& col : supervisor_.kill_all())
+        drain.push_back(std::static_pointer_cast<Column>(col));
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        drain.insert(drain.end(), queue_.begin(), queue_.end());
+        queue_.clear();
+        for (const Lent& l : lent_) drain.push_back(l.col);
+        lent_.clear();
       }
-      journal_.refresh();
-      for (Live& l : live) {
-        if (!column_complete(*l.col))
-          synthesize_failures(*l.col, false, "serve: server shut down");
-        finish_column(l.col);
-      }
-      live.clear();
-      for (;;) {
-        std::shared_ptr<Column> col;
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          if (queue_.empty() && lent_.empty()) break;
-          if (!queue_.empty()) {
-            col = queue_.front();
-            queue_.pop_front();
-          } else {
-            col = lent_.front().col;
-            lent_.erase(lent_.begin());
-          }
-        }
-        if (!column_complete(*col))
+      for (const std::shared_ptr<Column>& col : drain) {
+        if (!supervisor_.complete(*col))
           synthesize_failures(*col, false, "serve: server shut down");
         finish_column(col);
       }
@@ -844,77 +753,34 @@ void Broker::scheduler_main() {
       start_forward(std::move(col));
     to_forward.clear();
 
-    if (next) {
-      if (opts_.inline_exec)
-        run_inline(next);
-      else
-        launch(next, live);
-    }
+    // A column whose members were all journaled meanwhile (by another
+    // column) forks nothing: it is done.
+    if (next && !supervisor_.launch(
+                    next, worker_body(next->spec, opts_.journal_path)))
+      finish_column(next);
 
-    // Reap / deadline pass over live workers.
-    bool reaped = false;
-    for (std::size_t k = 0; k < live.size();) {
-      Live& l = live[k];
-      if (!l.handle.poll()) {
-        if (!l.timed_out && mono_seconds() > l.deadline) {
-          l.timed_out = true;
-          l.handle.kill(SIGKILL);
-        }
-        ++k;
-        continue;
-      }
-      reaped = true;
-      util::Subprocess::Result res = l.handle.result();
-      res.timed_out = res.timed_out || l.timed_out;
-      const std::shared_ptr<Column> col = l.col;
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
-
-      // Harvest whatever the worker journaled — a crashed worker's
-      // completed points survive; only in-flight work is lost.
-      journal_.refresh();
-      if (column_complete(*col)) {
-        finish_column(col);
-        continue;
-      }
-      if (res.timed_out)
-        worker_timeouts_.add();
-      else
-        worker_crashes_.add();
-      // The dead worker may have left a torn tail frame; repair before
-      // anyone appends at that offset (same policy as --isolate).
-      journal_.repair_tail();
-      if (col->attempts <= opts_.worker_retries) {
-        worker_restarts_.add();
-        const double backoff = fault::backoff_s(0.05, col->attempts - 1);
-        col->not_before = mono_seconds() + backoff;
-        util::log_warn(util::strf(
-            "serve: %s N=%d column worker %s; retrying in %.0f ms "
-            "(attempt %d/%d)",
-            col->spec.kernel.c_str(), col->points.front().nodes,
-            res.describe().c_str(), backoff * 1e3, col->attempts + 1,
-            opts_.worker_retries + 1));
+    const std::vector<analysis::ColumnSupervisor::Exit> exits =
+        supervisor_.reap();
+    for (const analysis::ColumnSupervisor::Exit& e : exits) {
+      const auto col = std::static_pointer_cast<Column>(e.column);
+      if (e.outcome == analysis::ColumnSupervisor::Outcome::kRetry) {
         std::lock_guard<std::mutex> lock(mutex_);
         queue_.push_back(col);
-      } else {
-        util::log_warn(util::strf(
-            "serve: %s N=%d column worker %s after %d attempt(s); "
-            "answering unfinished points as %s",
-            col->spec.kernel.c_str(), col->points.front().nodes,
-            res.describe().c_str(), col->attempts,
-            res.timed_out ? "timeout" : "crashed"));
-        synthesize_failures(*col, res.timed_out,
-                            "serve worker " + res.describe());
-        finish_column(col);
+        continue;
       }
+      if (e.outcome == analysis::ColumnSupervisor::Outcome::kGaveUp)
+        synthesize_failures(*col, e.result.timed_out,
+                            "serve worker " + e.result.describe());
+      finish_column(col);
     }
-    workers_running_.set(static_cast<double>(live.size()));
+    workers_running_.set(static_cast<double>(supervisor_.live()));
 
     // Fabric passes: join finished forwarding threads, settle lent
     // columns, and — when this broker is fully idle — ask a peer for
     // work instead of sitting on a warm cache.
     reap_forwards(/*all=*/false);
     lent_pass();
-    bool idle = live.empty();
+    bool idle = supervisor_.live() == 0;
     if (idle) {
       std::lock_guard<std::mutex> lock(mutex_);
       idle = queue_.empty() && !hold_ &&
@@ -923,7 +789,7 @@ void Broker::scheduler_main() {
     if (idle) steal_probe();
 
     // A launch or a reap may have made more work ready at once.
-    if (next || reaped) continue;
+    if (next || !exits.empty()) continue;
     // Otherwise sleep until a worker exits, the doorbell rings (a
     // submission, a thaw, a fabric event, stop) or the nearest live
     // deadline, backoff gate, lent deadline or steal probe is due.
@@ -931,22 +797,14 @@ void Broker::scheduler_main() {
     const auto due = [&wake_at](double t) {
       if (wake_at < 0.0 || t < wake_at) wake_at = t;
     };
-    std::vector<const util::Subprocess::Handle*> children;
-    for (const Live& l : live) {
-      children.push_back(&l.handle);
-      if (!l.timed_out) due(l.deadline);
-    }
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (!hold_ && live.size() < window)
+      if (!hold_ && supervisor_.live() < window)
         for (const std::shared_ptr<Column>& col : queue_) due(col->not_before);
       for (const Lent& l : lent_) due(l.deadline);
       if (idle && store_) due(next_steal_);
     }
-    util::Subprocess::wait_any(
-        children,
-        wake_at < 0.0 ? -1.0 : std::max(0.0, wake_at - mono_seconds()),
-        &wake_);
+    supervisor_.wait(wake_at, &wake_);
   }
 }
 

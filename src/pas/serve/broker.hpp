@@ -13,21 +13,17 @@
 //     in-flight columns are deduplicated by content-hash identity: a
 //     spec submitted twice concurrently enqueues each column once and
 //     both submissions wait on the same column object,
-//   * columns run in forked worker processes (util::Subprocess) under
-//     the PR 7 supervisor policy: wall-clock deadlines, bounded
-//     exponential-backoff re-forks, and fail-soft kCrashed/kTimeout
-//     records when a column never completes — a dying worker costs a
-//     column, never the server.
+//   * columns run in forked workers through analysis::ColumnSupervisor,
+//     the policy `--isolate` uses too (deadline, journal harvest,
+//     backoff retry; column_supervisor.hpp). A column it gives up is
+//     answered with fail-soft kCrashed/kTimeout records, never
+//     journaled or cached, so a later submission retries those points
+//     for real — a dying worker costs a column, never the server.
 //
-// Workers attach to the shared sweep journal without reading it and
-// report through it (the same flock'd append-only IPC the --isolate
-// supervisor uses). Each attempt gets only the members the broker's
-// journal index lacks, so a crashed worker's completed points survive
-// and a re-forked worker resumes past them. The scheduler sleeps until
-// a worker exits, the doorbell rings or the nearest deadline, backoff
-// or fabric timer is due. Supervisor-synthesized crash records are
-// never journaled and never cached — a later submission retries those
-// points for real.
+// The scheduler thread keeps the queue, the in-flight dedup and the
+// fabric timers, and sleeps in the supervisor until a worker exits,
+// the doorbell rings or the nearest deadline, backoff or fabric timer
+// is due.
 //
 // Peering (DESIGN.md §15): once configure_peering() wires an
 // ArtifactStore, the broker joins a shard fabric. Each column's
@@ -41,12 +37,13 @@
 // column whose thief goes quiet past its deadline is reclaimed and
 // re-run locally — a dead peer costs latency, never an answer.
 //
-// Fork safety: all forks happen on the single scheduler thread, and
-// every metric reference is resolved at construction, so no other
-// broker thread ever takes the metrics-registry lock while the
-// scheduler forks. Worker children only touch their own fresh
-// executor state (own RunCache handle, own attached SweepJournal
-// handle on the shared files) — never the parent's objects.
+// Fork safety: all forks happen on the single scheduler thread (the
+// supervisor forks on the thread that calls it), and every metric
+// reference is resolved at construction, so no other broker thread
+// ever takes the metrics-registry lock while the scheduler forks.
+// Worker children only touch their own fresh executor state (own
+// RunCache handle, own attached SweepJournal handle on the shared
+// files) — never the parent's objects.
 #pragma once
 
 #include <atomic>
@@ -61,6 +58,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "pas/analysis/column_supervisor.hpp"
 #include "pas/analysis/run_cache.hpp"
 #include "pas/analysis/sweep_executor.hpp"
 #include "pas/analysis/sweep_journal.hpp"
@@ -85,9 +83,6 @@ struct BrokerOptions {
   std::string journal_path;
   /// RunCache LRU cap (0 = unbounded).
   std::uint64_t cache_cap_bytes = 0;
-  /// Run columns on the scheduler thread instead of forking workers.
-  /// For tests under sanitizers that dislike fork(); no deadlines.
-  bool inline_exec = false;
   /// Deadline for a column lent to a thief before this broker reclaims
   /// it and re-runs it locally; <= 0 derives from the worker policy
   /// (worker_timeout_s * (worker_retries + 1) plus slack).
@@ -99,7 +94,8 @@ class ArtifactStore;
 class Broker {
  public:
   /// Opens (or warm-resumes) the cache and journal and starts the
-  /// scheduler thread. Throws std::invalid_argument on bad options.
+  /// scheduler thread. Throws std::invalid_argument on bad options and
+  /// std::runtime_error when the journal cannot be created.
   explicit Broker(BrokerOptions opts);
   /// Stops the scheduler: live workers are SIGKILLed, every pending
   /// column is failed soft, blocked run() calls return.
@@ -171,15 +167,13 @@ class Broker {
   void set_hold(bool hold);
 
  private:
-  struct Column {
+  /// The supervisor's half holds the members, their keys, the attempts
+  /// and the retry gate.
+  struct Column : analysis::ColumnSupervisor::Column {
     std::string id;  ///< member cache keys + retry policy
     /// Document spec (plus this broker's cache policy) a worker
     /// rebuilds its executor from.
     analysis::SweepSpec spec;
-    std::vector<analysis::SweepExecutor::Point> points;
-    std::vector<std::string> keys;
-    int attempts = 0;
-    double not_before = 0.0;  ///< retry backoff gate (monotonic seconds)
     /// Rendezvous shard basis: the frequency-independent column
     /// identity (RunCache ledger key + sampled suffix).
     std::string basis;
@@ -194,16 +188,7 @@ class Broker {
     std::unordered_map<std::string, analysis::RunRecord> synthesized;
   };
 
-  struct Live;
   void scheduler_main();
-  /// The members of `col` the journal index lacks — what an attempt
-  /// still has to run.
-  std::vector<analysis::SweepExecutor::Point> unresolved_points(
-      const Column& col) const;
-  void launch(std::shared_ptr<Column> col, std::vector<Live>& live);
-  void run_inline(const std::shared_ptr<Column>& col);
-  /// True when every member key is in the journal.
-  bool column_complete(const Column& col);
   void synthesize_failures(Column& col, bool timed_out,
                            const std::string& detail);
   void finish_column(const std::shared_ptr<Column>& col);
@@ -247,7 +232,7 @@ class Broker {
   std::shared_ptr<ArtifactStore> store_;  ///< set once by configure_peering
   struct Lent {
     std::shared_ptr<Column> col;
-    double deadline = 0.0;  ///< monotonic seconds; then reclaim
+    double deadline = 0.0;  ///< ColumnSupervisor::now() seconds; then reclaim
   };
   std::vector<Lent> lent_;
   struct Forward {
@@ -278,6 +263,10 @@ class Broker {
   obs::Counter& steal_given_;
   obs::Counter& steal_reclaimed_;
 
+  /// Forks, reaps and retries the local columns; used by the scheduler
+  /// thread only (complete() is safe anywhere). Built after the journal
+  /// and the counters it is handed, before the scheduler starts.
+  analysis::ColumnSupervisor supervisor_;
   std::thread scheduler_;
 };
 

@@ -1,6 +1,5 @@
 #include "pas/util/subprocess.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/eventfd.h>
@@ -20,24 +19,6 @@
 
 namespace pas::util {
 namespace {
-
-void redirect(const std::string& path, int target_fd) {
-  if (path.empty()) return;
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) _exit(126);
-  ::dup2(fd, target_fd);
-  ::close(fd);
-}
-
-void apply_options_in_child(const Subprocess::Options& opts) {
-  redirect(opts.stdout_path, STDOUT_FILENO);
-  redirect(opts.stderr_path, STDERR_FILENO);
-  for (const std::string& kv : opts.env) {
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos || eq == 0) continue;
-    ::setenv(kv.substr(0, eq).c_str(), kv.substr(eq + 1).c_str(), 1);
-  }
-}
 
 /// A pidfd for `pid` (readable once it exits; close-on-exec), or -1
 /// on kernels without pidfd_open (< 5.3).
@@ -209,8 +190,7 @@ void Subprocess::Handle::kill(int sig) const {
   if (pid_ > 0 && !reaped_) ::kill(pid_, sig);
 }
 
-Subprocess::Handle Subprocess::spawn(std::function<int()> body,
-                                     const Options& opts) {
+Subprocess::Handle Subprocess::spawn(std::function<int()> body) {
   Handle h;
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -219,7 +199,6 @@ Subprocess::Handle Subprocess::spawn(std::function<int()> body,
     return h;
   }
   if (pid == 0) {
-    apply_options_in_child(opts);
     int code = 125;
     try {
       code = body();
@@ -239,47 +218,9 @@ Subprocess::Handle Subprocess::spawn(std::function<int()> body,
   return h;
 }
 
-Subprocess::Handle Subprocess::spawn(const std::vector<std::string>& argv,
-                                     const Options& opts) {
-  if (argv.empty()) {
-    Handle h;
-    h.reaped_ = true;
-    h.result_.error = "empty argv";
-    return h;
-  }
-  Handle h;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    h.reaped_ = true;
-    h.result_.error = std::strerror(errno);
-    return h;
-  }
-  if (pid == 0) {
-    apply_options_in_child(opts);
-    std::vector<char*> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (const std::string& a : argv)
-      cargv.push_back(const_cast<char*>(a.c_str()));
-    cargv.push_back(nullptr);
-    ::execvp(cargv[0], cargv.data());
-    std::fprintf(stderr, "execvp %s: %s\n", cargv[0], std::strerror(errno));
-    _exit(127);
-  }
-  h.pid_ = pid;
-  h.exit_fd_ = open_exit_fd(pid);
-  h.result_.started = true;
-  return h;
-}
-
 Subprocess::Result Subprocess::call(std::function<int()> body,
-                                    double timeout_s, const Options& opts) {
-  Handle h = spawn(std::move(body), opts);
-  return h.wait(timeout_s);
-}
-
-Subprocess::Result Subprocess::run(const std::vector<std::string>& argv,
-                                   double timeout_s, const Options& opts) {
-  Handle h = spawn(argv, opts);
+                                    double timeout_s) {
+  Handle h = spawn(std::move(body));
   return h.wait(timeout_s);
 }
 

@@ -1,10 +1,11 @@
-// util::Subprocess — fork/exec (or fork/call) children with wall-clock
-// timeouts and faithful exit classification.
+// util::Subprocess — forked children that run a function, with
+// wall-clock timeouts and faithful exit classification.
 //
-// The sweep supervisor (SweepExecutor --isolate, DESIGN.md §12) runs
-// each sweep column in a child so that a segfault, an abort(), an OOM
-// kill or a runaway loop costs one column, not the sweep. The parent
-// needs to know exactly how a child died, so Result distinguishes:
+// The column supervisor (analysis::ColumnSupervisor, DESIGN.md §12)
+// runs each sweep column in a child so that a segfault, an abort(), an
+// OOM kill or a runaway loop costs one column, not the sweep. The
+// parent needs to know exactly how a child died, so Result
+// distinguishes:
 //
 //   * exited / exit_code — normal termination,
 //   * signaled / term_signal — killed by a signal. SIGKILL a parent
@@ -14,14 +15,13 @@
 // spawn(fn) forks WITHOUT exec: the child runs `fn` in a copy of the
 // address space and _exit()s with its return value (no atexit
 // handlers, no stdio double-flush). Callers must fork from a thread
-// that holds no locks shared with running threads — the --isolate
-// supervisor dispatches all forks from the one coordinating thread.
+// that holds no locks shared with running threads — the column
+// supervisor forks only on the one thread that drives it.
 //
 // Waiting is exit-driven: each child comes with a pidfd that turns
 // readable the instant it exits, and wait_any() sleeps on any number
 // of them plus a Wakeup doorbell until the first of an exit, a
-// doorbell ring or a deadline. Both supervisors (the --isolate loop
-// and the serve broker's scheduler) sleep there.
+// doorbell ring or a deadline. The column supervisor sleeps there.
 #pragma once
 
 #include <functional>
@@ -51,7 +51,7 @@ class Wakeup {
 class Subprocess {
  public:
   struct Result {
-    bool started = false;   ///< fork (and exec, if any) succeeded
+    bool started = false;   ///< fork succeeded
     bool exited = false;    ///< normal termination
     int exit_code = -1;     ///< valid when exited
     bool signaled = false;  ///< killed by a signal
@@ -63,14 +63,6 @@ class Subprocess {
     /// "exited 0", "killed by signal 9 (SIGKILL — possibly the OOM
     /// killer)", "timed out after 30.0s", ...
     std::string describe() const;
-  };
-
-  struct Options {
-    /// stdout / stderr redirection targets; empty = inherit.
-    std::string stdout_path;
-    std::string stderr_path;
-    /// Extra "NAME=VALUE" environment entries for the child.
-    std::vector<std::string> env;
   };
 
   /// A live (or reaped) child. Move-only; destroying a still-running
@@ -124,19 +116,10 @@ class Subprocess {
 
   /// Forks a child that runs `body` and _exit()s with its return value
   /// (exceptions are reported on stderr and exit as 125).
-  static Handle spawn(std::function<int()> body, const Options& opts = {});
-
-  /// Forks and execs `argv` (argv[0] resolved via PATH).
-  static Handle spawn(const std::vector<std::string>& argv,
-                      const Options& opts = {});
+  static Handle spawn(std::function<int()> body);
 
   /// spawn(body) + wait(timeout_s).
-  static Result call(std::function<int()> body, double timeout_s = 0.0,
-                     const Options& opts = {});
-
-  /// spawn(argv) + wait(timeout_s).
-  static Result run(const std::vector<std::string>& argv,
-                    double timeout_s = 0.0, const Options& opts = {});
+  static Result call(std::function<int()> body, double timeout_s = 0.0);
 };
 
 }  // namespace pas::util

@@ -7,8 +7,10 @@
 // TSan (fork and TSan don't mix) and runs under ASan in tier1.sh.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -411,6 +413,34 @@ TEST(IsolateSupervisor, HungColumnIsKilledAtTheDeadline) {
   EXPECT_NE(got.records[0].error.find("timed out"), std::string::npos)
       << got.records[0].error;
   EXPECT_GE(counter_value("sweep.worker_timeouts") - timeouts_before, 1u);
+}
+
+TEST(IsolateSupervisor, UnwritableJournalIsRejectedBeforeAnyFork) {
+  const auto env = ExperimentEnv::small();
+  const auto kernel = make_kernel("EP", Scale::kSmall);
+  // The journal's directory does not exist, so it cannot be created —
+  // and isolated workers report through nothing else.
+  const std::string journal =
+      temp_dir("isolate_unwritable") + "/missing/sweep.journal";
+
+  const std::uint64_t columns_before = counter_value("sweep.isolated_columns");
+  SweepSpec spec;
+  spec.cluster = env.cluster;
+  spec.options.jobs = 1;
+  spec.options.use_cache = false;
+  spec.options.journal_path = journal;
+  spec.options.isolate = true;
+  spec.options.isolate_timeout_s = 60.0;
+  try {
+    SweepExecutor exec(spec);
+    exec.run({kernel.get(), {1, 2}, {600, 1400}});
+    FAIL() << "an isolated sweep ran on a journal it could not create";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(journal), std::string::npos) << what;
+    EXPECT_NE(what.find(std::strerror(ENOENT)), std::string::npos) << what;
+  }
+  EXPECT_EQ(counter_value("sweep.isolated_columns"), columns_before);
 }
 
 // --- option plumbing --------------------------------------------------

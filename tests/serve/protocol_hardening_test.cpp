@@ -40,7 +40,6 @@ struct Harness {
     ServerOptions o;
     o.unix_socket = dir + "/serve.sock";
     o.broker.cache_dir = dir + "/cache";
-    o.broker.inline_exec = true;  // no sweeps here; keep it fork-free
     return o;
   }
 

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -225,6 +227,23 @@ TEST(ServeBroker, JournalReplacedByAnOfflineSweepKeepsServing) {
   EXPECT_GE(std::filesystem::file_size(opts.journal_path), offline_size);
   analysis::SweepJournal verify(opts.journal_path, /*resume=*/true);
   EXPECT_EQ(verify.entries(), 8u);
+}
+
+TEST(ServeBroker, UnwritableJournalIsRejectedAtConstruction) {
+  const std::string dir = temp_dir("unwritable_journal");
+  BrokerOptions opts;
+  opts.cache_dir = dir + "/cache";
+  // The journal's directory does not exist, so it cannot be created —
+  // and the broker's workers report through nothing else.
+  opts.journal_path = dir + "/missing/serve.journal";
+  try {
+    Broker broker(opts);
+    FAIL() << "a broker started on a journal it could not create";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(opts.journal_path), std::string::npos) << what;
+    EXPECT_NE(what.find(std::strerror(ENOENT)), std::string::npos) << what;
+  }
 }
 
 TEST(ServeServer, EndToEndOverUnixSocketWithConcurrentClients) {

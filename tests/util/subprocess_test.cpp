@@ -4,13 +4,9 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
-#include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <thread>
-
-#include "pas/util/fs.hpp"
 
 namespace pas::util {
 namespace {
@@ -64,41 +60,6 @@ TEST(Subprocess, ThrownExceptionBecomesExit125) {
       []() -> int { throw std::runtime_error("child blew up"); }, 10.0);
   EXPECT_TRUE(res.exited);
   EXPECT_EQ(res.exit_code, 125);
-}
-
-TEST(Subprocess, ExecRunsRealBinaries) {
-  EXPECT_TRUE(Subprocess::run({"true"}, 10.0).ok());
-  const Subprocess::Result f = Subprocess::run({"false"}, 10.0);
-  EXPECT_TRUE(f.exited);
-  EXPECT_NE(f.exit_code, 0);
-  // A missing binary is exec failure: exit 127, never a hang.
-  const Subprocess::Result missing =
-      Subprocess::run({"pasim-definitely-not-a-binary"}, 10.0);
-  EXPECT_TRUE(missing.exited);
-  EXPECT_EQ(missing.exit_code, 127);
-}
-
-TEST(Subprocess, StdoutRedirectionCapturesChildOutput) {
-  const std::string dir = testing::TempDir() + "/pasim_subprocess_test";
-  std::filesystem::create_directories(dir);
-  const std::string out = dir + "/child.out";
-  Subprocess::Options opts;
-  opts.stdout_path = out;
-  const Subprocess::Result res = Subprocess::run({"echo", "hello"}, 10.0, opts);
-  ASSERT_TRUE(res.ok()) << res.describe();
-  EXPECT_EQ(read_file(out), std::optional<std::string>("hello\n"));
-}
-
-TEST(Subprocess, EnvEntriesReachTheChild) {
-  Subprocess::Options opts;
-  opts.env = {"PASIM_SUBPROCESS_TEST_VAR=42"};
-  const Subprocess::Result res = Subprocess::call(
-      [] {
-        const char* v = std::getenv("PASIM_SUBPROCESS_TEST_VAR");
-        return (v != nullptr && std::string(v) == "42") ? 0 : 1;
-      },
-      10.0, opts);
-  EXPECT_TRUE(res.ok()) << res.describe();
 }
 
 TEST(Subprocess, DestructorReapsARunningChild) {

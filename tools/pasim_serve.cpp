@@ -10,20 +10,18 @@
 //
 //   ./tools/pasim_serve --cache DIR [--socket PATH] [--tcp PORT]
 //                       [--workers N] [--worker-timeout S]
-//                       [--worker-retries N] [--inline]
-//                       [--journal FILE] [--cache-cap MB]
-//                       [--metrics-csv FILE]
+//                       [--worker-retries N] [--journal FILE]
+//                       [--cache-cap MB] [--metrics-csv FILE]
 //                       [--peer HOST:PORT]... [--advertise HOST:PORT]
 //                       [--steal-timeout S]
 //
 // --tcp 0 picks an ephemeral port (printed on stdout — scripts parse
-// the "listening" line). --inline runs columns on the scheduler thread
-// instead of forking (sanitizer-friendly). --peer (repeatable) joins
-// the multi-broker shard fabric of DESIGN.md §15: columns are
-// rendezvous-assigned across the fleet, records travel through the
-// cas.get/cas.put content store, and idle brokers steal queued
-// columns. Requires --tcp; --advertise overrides the derived
-// 127.0.0.1:<port> identity when peers dial a different address.
+// the "listening" line). --peer (repeatable) joins the multi-broker
+// shard fabric of DESIGN.md §15: columns are rendezvous-assigned
+// across the fleet, records travel through the cas.get/cas.put content
+// store, and idle brokers steal queued columns. Requires --tcp;
+// --advertise overrides the derived 127.0.0.1:<port> identity when
+// peers dial a different address.
 #include <csignal>
 #include <cstdio>
 #include <stdexcept>
@@ -42,7 +40,7 @@ int main(int argc, char** argv) {
   using namespace pas;
   const util::Cli cli(argc, argv);
   cli.check_usage({"socket", "tcp", "cache", "workers", "worker-timeout",
-                   "worker-retries", "inline", "journal", "cache-cap",
+                   "worker-retries", "journal", "cache-cap",
                    "metrics-csv", "peer", "advertise", "steal-timeout"});
   serve::ServerOptions opts;
   opts.unix_socket = cli.get("socket", cli.has("tcp") ? "" : "pasim_serve.sock");
@@ -55,7 +53,6 @@ int main(int argc, char** argv) {
   opts.broker.worker_timeout_s = cli.get_double("worker-timeout", 300.0);
   opts.broker.worker_retries =
       static_cast<int>(cli.get_int("worker-retries", 1));
-  opts.broker.inline_exec = cli.get_bool("inline", false);
   opts.broker.steal_timeout_s = cli.get_double("steal-timeout", 0.0);
   opts.broker.journal_path = cli.get("journal", "");
   opts.broker.cache_cap_bytes =
@@ -71,9 +68,8 @@ int main(int argc, char** argv) {
     if (server.tcp_port() >= 0)
       std::printf("pasim_serve: listening on 127.0.0.1:%d\n",
                   server.tcp_port());
-    std::printf("pasim_serve: cache %s, %d worker(s)%s\n",
-                opts.broker.cache_dir.c_str(), opts.broker.workers,
-                opts.broker.inline_exec ? " (inline)" : "");
+    std::printf("pasim_serve: cache %s, %d worker(s)\n",
+                opts.broker.cache_dir.c_str(), opts.broker.workers);
     if (!opts.peers.empty())
       std::printf("pasim_serve: fabric of %zu peer(s)\n", opts.peers.size());
     std::fflush(stdout);
