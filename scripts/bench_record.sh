@@ -2,37 +2,37 @@
 # Records the simulator's own performance baseline: the google-benchmark
 # microbenchmarks (bench/micro_sim) and one timed end-to-end run each of
 # bench/full_report and bench/resilience_sweep (the fault-ensemble axis,
-# which bypasses every analytic fast path), plus the serving-fabric
-# throughput of bench/serve_throughput at fleet sizes 1 and 2. Writes
-# BENCH_micro_sim.json, BENCH_full_report.json,
-# BENCH_resilience_sweep.json and BENCH_serve_throughput.json at the
-# repo root so a perf regression shows up as a diff against the
-# committed baseline. Record-only: nothing here
-# fails on a slow result — scripts/check_bench_schema.py validates the
-# shape, humans judge the numbers.
+# which bypasses every analytic fast path). Writes BENCH_micro_sim.json,
+# BENCH_full_report.json and BENCH_resilience_sweep.json into out_dir.
+# The default is the repo root, which re-baselines the committed files
+# on purpose; tier-1 records into a temp dir and compares against them.
+# Record-only: nothing here fails on a slow result —
+# scripts/check_bench_schema.py validates the shape,
+# scripts/check_bench_regression.py compares the numbers.
 #
-# Usage: scripts/bench_record.sh [build_dir]
+# Usage: scripts/bench_record.sh [build_dir [out_dir]]
 #   build_dir   tree with micro_sim and full_report built (default: build)
+#   out_dir     where the BENCH_*.json files go (default: the repo root)
 #   PASIM_BENCH_JOBS  --jobs for the full_report run (default: nproc)
-#   PASIM_BENCH_SERVE_CLIENTS / PASIM_BENCH_SERVE_QUERIES
-#               load shape for serve_throughput (default: 8 x 6)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
+DEST="${2:-.}"
 JOBS="${PASIM_BENCH_JOBS:-$(nproc 2>/dev/null || echo 1)}"
 
 for bin in "$BUILD/bench/micro_sim" "$BUILD/bench/full_report" \
-           "$BUILD/bench/resilience_sweep" "$BUILD/bench/serve_throughput"; do
+           "$BUILD/bench/resilience_sweep"; do
   [ -x "$bin" ] || { echo "bench_record: missing $bin (build it first)"; exit 1; }
 done
+mkdir -p "$DEST"
 
 echo "== bench_record: micro_sim =="
 "$BUILD/bench/micro_sim" \
   --benchmark_format=json \
-  --benchmark_out=BENCH_micro_sim.json \
+  --benchmark_out="$DEST/BENCH_micro_sim.json" \
   --benchmark_out_format=json >/dev/null
-echo "wrote BENCH_micro_sim.json"
+echo "wrote $DEST/BENCH_micro_sim.json"
 
 echo "== bench_record: full_report (--jobs $JOBS) =="
 OUT_DIR="$(mktemp -d)"
@@ -47,7 +47,7 @@ WALL_MEASURED="$(awk "BEGIN { printf \"%.3f\", ($END_NS - $START_NS) / 1e9 }")"
 WALL_REPORTED="$(sed -n 's/^wall time \([0-9.]*\)s.*/\1/p' "$OUT_DIR/log" | tail -1)"
 WALL_REPORTED="${WALL_REPORTED:-0}"
 
-cat > BENCH_full_report.json <<EOF
+cat > "$DEST/BENCH_full_report.json" <<EOF
 {
   "schema": "pasim-bench-full-report/1",
   "command": "bench/full_report --out <tmp> --jobs $JOBS --no-cache",
@@ -57,7 +57,7 @@ cat > BENCH_full_report.json <<EOF
   "recorded_at": "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 }
 EOF
-echo "wrote BENCH_full_report.json (wall ${WALL_REPORTED}s at --jobs $JOBS)"
+echo "wrote $DEST/BENCH_full_report.json (wall ${WALL_REPORTED}s at --jobs $JOBS)"
 
 echo "== bench_record: resilience_sweep (--jobs $JOBS) =="
 # The fault-ensemble axis: no repricing, no checkpoints, no sampling
@@ -69,7 +69,7 @@ START_NS="$(date +%s%N)"
 END_NS="$(date +%s%N)"
 WALL_RESIL="$(awk "BEGIN { printf \"%.3f\", ($END_NS - $START_NS) / 1e9 }")"
 
-cat > BENCH_resilience_sweep.json <<EOF
+cat > "$DEST/BENCH_resilience_sweep.json" <<EOF
 {
   "schema": "pasim-bench-resilience-sweep/1",
   "command": "bench/resilience_sweep --jobs $JOBS --no-cache",
@@ -78,42 +78,4 @@ cat > BENCH_resilience_sweep.json <<EOF
   "recorded_at": "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 }
 EOF
-echo "wrote BENCH_resilience_sweep.json (wall ${WALL_RESIL}s at --jobs $JOBS)"
-
-echo "== bench_record: serve_throughput =="
-# Fleet sizes 1 and 2: the 1-broker line is the serving-stack baseline
-# the regression gate tracks; the 2-broker line records how the fabric
-# behaves on this machine (it only beats 1 broker when there is more
-# than one core to run on, so the ratio is informational).
-SERVE_CLIENTS="${PASIM_BENCH_SERVE_CLIENTS:-8}"
-SERVE_QUERIES="${PASIM_BENCH_SERVE_QUERIES:-6}"
-"$BUILD/bench/serve_throughput" --brokers 1,2 --clients "$SERVE_CLIENTS" \
-  --queries "$SERVE_QUERIES" --cache "$OUT_DIR/serve_bench_cache" \
-  > "$OUT_DIR/serve_log" 2>&1
-FLEETS="$(awk '/^serve_throughput brokers=/ {
-  for (i = 1; i <= NF; ++i) { split($i, kv, "="); v[kv[1]] = kv[2] }
-  printf "%s    {\"brokers\": %s, \"queries\": %s, \"wall_seconds\": %s, \
-\"qps\": %s, \"seconds_per_query\": %.6f, \"p50_ms\": %s, \"p99_ms\": %s}",
-         sep, v["brokers"], v["queries"], v["wall_s"], v["qps"],
-         v["wall_s"] / v["queries"], v["p50_ms"], v["p99_ms"]
-  sep = ",\n"
-}' "$OUT_DIR/serve_log")"
-if [ -z "$FLEETS" ]; then
-  echo "bench_record: serve_throughput printed no fleet lines:"
-  cat "$OUT_DIR/serve_log"
-  exit 1
-fi
-
-cat > BENCH_serve_throughput.json <<EOF
-{
-  "schema": "pasim-bench-serve-throughput/1",
-  "command": "bench/serve_throughput --brokers 1,2 --clients $SERVE_CLIENTS --queries $SERVE_QUERIES",
-  "clients": $SERVE_CLIENTS,
-  "queries_per_client": $SERVE_QUERIES,
-  "fleets": [
-$FLEETS
-  ],
-  "recorded_at": "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-}
-EOF
-echo "wrote BENCH_serve_throughput.json ($SERVE_CLIENTS clients x $SERVE_QUERIES queries)"
+echo "wrote $DEST/BENCH_resilience_sweep.json (wall ${WALL_RESIL}s at --jobs $JOBS)"

@@ -3,8 +3,7 @@
 
 Compares a fresh scripts/bench_record.sh recording with the committed
 BENCH_micro_sim.json / BENCH_full_report.json / BENCH_resilience_sweep
-.json / BENCH_serve_throughput.json (per-fleet-size seconds/query) and
-prints a WARN line for every benchmark that slowed down by
+.json and prints a WARN line for every benchmark that slowed down by
 more than the threshold (default 10%). Speed is machine- and load-
 dependent, so per-benchmark warnings are a tripwire for humans reading
 the tier-1 log, never a gate, and a missing or unparsable file is
@@ -32,7 +31,6 @@ import sys
 MICRO = "BENCH_micro_sim.json"
 FULL = "BENCH_full_report.json"
 RESIL = "BENCH_resilience_sweep.json"
-SERVE = "BENCH_serve_throughput.json"
 
 
 def load(path):
@@ -84,43 +82,6 @@ def compare_wall(name, key, baseline_dir, fresh_dir, threshold, deltas):
                    f"{key}", base.get(key), fresh.get(key), threshold, deltas)
 
 
-def compare_serve(baseline_dir, fresh_dir, threshold, deltas):
-    """Per-fleet-size seconds/query (higher = slower, like the walls).
-
-    Each fleet size is compared against its own baseline: the 1 -> 2
-    broker ratio depends on the machine's core count, so it is recorded
-    but never gated.
-    """
-    base = load(os.path.join(baseline_dir, SERVE))
-    fresh = load(os.path.join(fresh_dir, SERVE))
-    if base is None or fresh is None:
-        return 0
-    shape = ("clients", "queries_per_client")
-    if any(base.get(k) != fresh.get(k) for k in shape):
-        print(f"check_bench_regression: skipping {SERVE}: baseline load "
-              f"shape {[base.get(k) for k in shape]} != fresh "
-              f"{[fresh.get(k) for k in shape]} (not comparable)")
-        return 0
-    fresh_fleets = {f.get("brokers"): f for f in fresh.get("fleets", [])
-                    if isinstance(f, dict)}
-    warns = 0
-    for f in base.get("fleets", []):
-        if not isinstance(f, dict):
-            continue
-        other = fresh_fleets.get(f.get("brokers"))
-        if other is None:
-            print(f"check_bench_regression: WARN serve_throughput "
-                  f"brokers={f.get('brokers')}: present in baseline, "
-                  "missing from fresh recording")
-            warns += 1
-            continue
-        warns += compare(
-            f"serve_throughput brokers={f['brokers']} seconds_per_query",
-            f.get("seconds_per_query"), other.get("seconds_per_query"),
-            threshold, deltas)
-    return warns
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--baseline", required=True,
@@ -157,7 +118,6 @@ def main():
                           args.fresh, threshold, deltas)
     warns += compare_wall(RESIL, "wall_seconds_measured", args.baseline,
                           args.fresh, threshold, deltas)
-    warns += compare_serve(args.baseline, args.fresh, threshold, deltas)
 
     gate = ""
     median = statistics.median(deltas) if deltas else 0.0

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate the recorded perf baselines written by scripts/bench_record.sh.
 
-Stdlib-only, used by the tier-1 perf stage. Two file kinds:
+Stdlib-only, used by the tier-1 perf stage. Three file kinds:
 
   BENCH_micro_sim.json    google-benchmark JSON output: a context object
                           and a non-empty benchmark list, with the
@@ -13,16 +13,12 @@ Stdlib-only, used by the tier-1 perf stage. Two file kinds:
                           timed run of bench/resilience_sweep (the
                           fault-ensemble axis has no fast path, so its
                           wall time tracks raw simulation throughput).
-  BENCH_serve_throughput.json
-                          schema pasim-bench-serve-throughput/1: qps and
-                          client-side latency of a pasim_serve fleet at
-                          one and two brokers (DESIGN.md §15).
 
 Record-only companion: this checks shape, not speed — a slow run still
 validates. Exits nonzero with a message on the first violation.
 
 Usage: check_bench_schema.py BENCH_micro_sim.json BENCH_full_report.json
-           [BENCH_resilience_sweep.json [BENCH_serve_throughput.json]]
+           [BENCH_resilience_sweep.json]
 """
 import json
 import math
@@ -30,7 +26,6 @@ import sys
 
 FULL_REPORT_SCHEMA = "pasim-bench-full-report/1"
 RESILIENCE_SCHEMA = "pasim-bench-resilience-sweep/1"
-SERVE_SCHEMA = "pasim-bench-serve-throughput/1"
 
 # The hot paths this PR pinned down must stay covered by the recording.
 REQUIRED_BENCHMARKS = (
@@ -136,60 +131,13 @@ def check_resilience(path):
           f"(--jobs {doc['jobs']}, wall {doc['wall_seconds_measured']}s)")
 
 
-def check_serve(path):
-    doc = load(path)
-    want(isinstance(doc, dict), f"{path}: top level must be an object")
-    want(doc.get("schema") == SERVE_SCHEMA,
-         f"{path}: schema must be {SERVE_SCHEMA!r}, got {doc.get('schema')!r}")
-    want(isinstance(doc.get("command"), str) and doc["command"],
-         f"{path}: command must be a non-empty string")
-    for key in ("clients", "queries_per_client"):
-        want(isinstance(doc.get(key), int) and not
-             isinstance(doc.get(key), bool) and doc[key] >= 1,
-             f"{path}: {key} must be an int >= 1")
-    fleets = doc.get("fleets")
-    want(isinstance(fleets, list) and fleets,
-         f"{path}: fleets must be a non-empty list")
-    seen_brokers = set()
-    for i, f in enumerate(fleets):
-        want(isinstance(f, dict), f"{path}: fleets[{i}] must be an object")
-        want(isinstance(f.get("brokers"), int) and not
-             isinstance(f.get("brokers"), bool) and f["brokers"] >= 1,
-             f"{path}: fleets[{i}].brokers must be an int >= 1")
-        want(f["brokers"] not in seen_brokers,
-             f"{path}: fleets[{i}].brokers={f['brokers']} recorded twice")
-        seen_brokers.add(f["brokers"])
-        want(isinstance(f.get("queries"), int) and not
-             isinstance(f.get("queries"), bool) and f["queries"] >= 1,
-             f"{path}: fleets[{i}].queries must be an int >= 1")
-        for key in ("wall_seconds", "qps", "seconds_per_query"):
-            want(is_num(f.get(key)) and f[key] > 0,
-                 f"{path}: fleets[{i}].{key} must be a finite number > 0")
-        for key in ("p50_ms", "p99_ms"):
-            want(is_num(f.get(key)) and f[key] >= 0,
-                 f"{path}: fleets[{i}].{key} must be a finite number >= 0")
-        want(f["p99_ms"] + 1e-9 >= f["p50_ms"],
-             f"{path}: fleets[{i}]: p99_ms below p50_ms")
-        # seconds_per_query is wall_seconds / queries by construction.
-        derived = f["wall_seconds"] / f["queries"]
-        want(abs(f["seconds_per_query"] - derived) <= max(1e-5, derived * 0.01),
-             f"{path}: fleets[{i}].seconds_per_query does not match "
-             f"wall_seconds / queries")
-    want(1 in seen_brokers,
-         f"{path}: the 1-broker baseline fleet must be recorded")
-    print(f"check_bench_schema: OK: {path} ({len(fleets)} fleet size(s), "
-          f"{doc['clients']} clients)")
-
-
 def main(argv):
-    if len(argv) not in (3, 4, 5):
+    if len(argv) not in (3, 4):
         sys.exit(__doc__.strip())
     check_micro(argv[1])
     check_full_report(argv[2])
-    if len(argv) >= 4:
+    if len(argv) == 4:
         check_resilience(argv[3])
-    if len(argv) == 5:
-        check_serve(argv[4])
 
 
 if __name__ == "__main__":

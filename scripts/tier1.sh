@@ -26,8 +26,8 @@ echo "== tier 1: observability artifacts =="
 ROOT="$PWD"
 OBS_DIR="$(mktemp -d)"
 REPLAY_DIR="$(mktemp -d)"
-BASELINE_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR"' EXIT
+PERF_DIR="$(mktemp -d)"
+trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$PERF_DIR"' EXIT
 # One small faulty sweep with everything on: all five artifacts must
 # appear, and run_report.json must satisfy the published schema.
 (cd "$OBS_DIR" && "$ROOT/build/bench/resilience_sweep" --small \
@@ -130,7 +130,7 @@ echo "== tier 1: sampled estimation + checkpoint warm-starts =="
 #   3. Speed — sampling + warm-starts must cut wall clock by >= 3x on
 #      a deep-iteration grid vs the exact cold run.
 SAMPLING_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$SAMPLING_DIR"' EXIT
+trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$PERF_DIR" "$SAMPLING_DIR"' EXIT
 ./build/bench/fig2_ft_surface --small --iterations 96 --nodes 1,2,4 \
   --freqs 1000 --jobs 1 --no-cache --sampling --sample-period 8 \
   --warmup-iters 2 --verify-sampling 1 \
@@ -191,7 +191,7 @@ echo "== tier 1: crash-safety torture (SIGKILL / corrupt / resume) =="
 # entries corrupted, then resumed — the stable artifacts (REPORT.md +
 # CSVs) must be byte-identical to an uninterrupted --jobs 1 run.
 ROBUST_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$SAMPLING_DIR" "$ROBUST_DIR"' EXIT
+trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$PERF_DIR" "$SAMPLING_DIR" "$ROBUST_DIR"' EXIT
 REF="$ROBUST_DIR/ref"
 "$ROOT/build/bench/full_report" --small --jobs 1 --no-cache \
   --out "$REF" >/dev/null
@@ -300,7 +300,7 @@ echo "injected-ENOSPC degradation OK (rc=$ENOSPC_RC)"
 
 echo "== tier 1: sweep-spec schema + --spec equivalence =="
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$SAMPLING_DIR" "$ROBUST_DIR" "$SERVE_DIR"' EXIT
+trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$PERF_DIR" "$SAMPLING_DIR" "$ROBUST_DIR" "$SERVE_DIR"' EXIT
 # The committed sample specs and a freshly printed document must both
 # satisfy the published schema, checked from first principles.
 "$ROOT/build/tools/pasim_client" --print-spec --small --kernel FT \
@@ -362,191 +362,72 @@ wait $SERVE_PID
 # The server's parting metrics snapshot must include serving counters.
 grep -q "serve.sweeps" "$SERVE_DIR/serve_metrics.csv"
 grep -q "serve.request_seconds" "$SERVE_DIR/serve_metrics.csv"
-echo "serve OK (cold/warm/concurrent byte-identical to offline)"
-
-echo "== tier 1: distributed serve (fabric / steal / kill-one) =="
-# The multi-broker shard fabric of DESIGN.md §15, exercised exactly as
-# deployed: separate pasim_serve processes on ephemeral TCP ports with
-# separate cache directories, joined with --peer. Three legs:
-#   1. fabric — cold sweep through one broker, warm re-reads through
-#      its peer: every artifact byte-identical to the offline oracle,
-#      and the peer answers via cas.get read-through (cas.hit > 0).
-#   2. steal — a one-worker victim with a queue and an idle thief:
-#      the thief drains queued columns (steal_columns / steal_given
-#      > 0) and the victim's client output stays byte-identical.
-#   3. kill-one — SIGKILL a peer mid-sweep: the survivor reclaims its
-#      forwarded columns, re-runs them locally, and still answers
-#      byte-identically.
-FAB_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$REPLAY_DIR" "$BASELINE_DIR" "$SAMPLING_DIR" "$ROBUST_DIR" "$SERVE_DIR" "$FAB_DIR"' EXIT
-serve_port() {
-  # Parse the ephemeral port from a broker's "listening" line.
-  for _ in $(seq 1 100); do
-    port="$(sed -n 's/^pasim_serve: listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \
-            "$1" 2>/dev/null | head -1)"
-    if [ -n "$port" ]; then echo "$port"; return 0; fi
-    sleep 0.1
-  done
-  echo "serve_port: no listening line in $1" >&2
-  return 1
+# A healthy run is silent: no warning in the log and no failure
+# counter above zero.
+if grep -q '\[warn\]' "$SERVE_DIR/serve.log"; then
+  echo "healthy serve run logged warnings:"; cat "$SERVE_DIR/serve.log"; exit 1
+fi
+for m in serve.worker_crashes serve.worker_timeouts serve.worker_restarts \
+         serve.protocol_errors; do
+  awk -F, -v n="$m" '$1 == n { seen = 1; v = $4 }
+    END { exit !(seen && v + 0 == 0) }' "$SERVE_DIR/serve_metrics.csv" || {
+    echo "expected $m = 0 in serve_metrics.csv:"
+    cat "$SERVE_DIR/serve_metrics.csv"; exit 1; }
+done
+echo "serve OK (cold/warm/concurrent byte-identical to offline, silent)"
+# Kill and restart: SIGKILL the server while a cold paper-scale EP
+# sweep is in flight (one of its forked workers is alive), restart it
+# on the same cache and resubmit. The answer must match the offline
+# oracle byte for byte, whatever the dead server had journaled.
+KILL_SOCK="$SERVE_DIR/kill.sock"
+start_kill_server() {
+  "$ROOT/build/tools/pasim_serve" --socket "$KILL_SOCK" \
+    --cache "$SERVE_DIR/kill_cache" --workers 2 \
+    >> "$SERVE_DIR/kill.log" 2>&1 & KILL_PID=$!
+  "$CLIENT" --socket "$KILL_SOCK" --wait 15 --ping >/dev/null
 }
-metric_positive() {
-  # metric_positive CSV NAME: the named counter must be > 0.
-  awk -F, -v n="$2" '$1 == n { v = $4 } END { exit !(v + 0 > 0) }' "$1" || {
-    echo "expected $2 > 0 in $1:"; cat "$1"; exit 1; }
-}
-# Column identity is (kernel, N, comm-DVFS, cluster signature), so
-# eight small EP specs — comm-DVFS operating points crossed with fault
-# ensembles — give each direction of the fabric 12 distinct columns
-# (4 specs x the default 3 node counts). The rendezvous split of 12
-# columns across two brokers is one-sided with probability 2^-12: the
-# counter assertions below are deterministic in practice. The fault
-# specs also push deterministic-failure records across the wire,
-# covering the status framing of the CAS payloads end to end.
-"$CLIENT" --print-spec --small --kernel EP > "$FAB_DIR/spec_a1.json"
-"$CLIENT" --print-spec --small --kernel EP \
-  --comm-dvfs 600 > "$FAB_DIR/spec_a2.json"
-"$CLIENT" --print-spec --small --kernel EP \
-  --faults 0.05 --fault-seed 1 > "$FAB_DIR/spec_a3.json"
-"$CLIENT" --print-spec --small --kernel EP --comm-dvfs 600 \
-  --faults 0.05 --fault-seed 3 > "$FAB_DIR/spec_a4.json"
-"$CLIENT" --print-spec --small --kernel EP \
-  --comm-dvfs 1000 > "$FAB_DIR/spec_b1.json"
-"$CLIENT" --print-spec --small --kernel EP \
-  --comm-dvfs 1400 > "$FAB_DIR/spec_b2.json"
-"$CLIENT" --print-spec --small --kernel EP \
-  --faults 0.05 --fault-seed 2 > "$FAB_DIR/spec_b3.json"
-"$CLIENT" --print-spec --small --kernel EP --comm-dvfs 1000 \
-  --faults 0.05 --fault-seed 4 > "$FAB_DIR/spec_b4.json"
-for s in a1 a2 a3 a4 b1 b2 b3 b4; do
-  "$ROOT/build/bench/full_report" --spec "$FAB_DIR/spec_$s.json" --jobs 1 \
-    --no-cache --out "$FAB_DIR/offline_$s" >/dev/null
+"$ROOT/build/bench/full_report" --spec specs/ep_paper.json --jobs 1 \
+  --no-cache --out "$SERVE_DIR/ep_offline" >/dev/null
+start_kill_server
+"$CLIENT" --socket "$KILL_SOCK" --spec specs/ep_paper.json \
+  --out "$SERVE_DIR/ep_killed" >/dev/null 2>&1 & KILLED_CLIENT=$!
+for _ in $(seq 1 500); do
+  pgrep -P "$KILL_PID" >/dev/null && break
+  sleep 0.01
 done
-# Leg 1: broker A standalone, broker B peered to it.
-"$ROOT/build/tools/pasim_serve" --tcp 0 --cache "$FAB_DIR/cache_a" \
-  --workers 2 --metrics-csv "$FAB_DIR/metrics_a.csv" \
-  > "$FAB_DIR/a.log" 2>&1 & FAB_A=$!
-PORT_A="$(serve_port "$FAB_DIR/a.log")"
-"$ROOT/build/tools/pasim_serve" --tcp 0 --cache "$FAB_DIR/cache_b" \
-  --workers 2 --peer "127.0.0.1:$PORT_A" \
-  --metrics-csv "$FAB_DIR/metrics_b.csv" > "$FAB_DIR/b.log" 2>&1 & FAB_B=$!
-PORT_B="$(serve_port "$FAB_DIR/b.log")"
-"$CLIENT" --tcp "$PORT_A" --wait 15 --ping >/dev/null
-"$CLIENT" --tcp "$PORT_B" --wait 15 --ping >/dev/null
-# Cold through A (all local: A has no peers), warm re-reads through B
-# (B pulls the A-owned records over cas.get), then fresh cold grids
-# submitted to B so B forwards their A-owned columns to A for
-# execution.
-for s in a1 a2 a3 a4; do
-  "$CLIENT" --tcp "$PORT_A" --spec "$FAB_DIR/spec_$s.json" \
-    --out "$FAB_DIR/cold_$s" >/dev/null
-  "$CLIENT" --tcp "$PORT_B" --spec "$FAB_DIR/spec_$s.json" \
-    --out "$FAB_DIR/warm_$s" >/dev/null
-  cmp "$FAB_DIR/cold_$s/EP_time.csv" "$FAB_DIR/offline_$s/EP_time.csv"
-  cmp "$FAB_DIR/cold_$s/EP_speedup.csv" "$FAB_DIR/offline_$s/EP_speedup.csv"
-  cmp "$FAB_DIR/warm_$s/EP_time.csv" "$FAB_DIR/offline_$s/EP_time.csv"
-  cmp "$FAB_DIR/warm_$s/EP_speedup.csv" "$FAB_DIR/offline_$s/EP_speedup.csv"
-done
-for s in b1 b2 b3 b4; do
-  "$CLIENT" --tcp "$PORT_B" --spec "$FAB_DIR/spec_$s.json" \
-    --out "$FAB_DIR/fwd_$s" >/dev/null
-  cmp "$FAB_DIR/fwd_$s/EP_time.csv" "$FAB_DIR/offline_$s/EP_time.csv"
-  cmp "$FAB_DIR/fwd_$s/EP_speedup.csv" "$FAB_DIR/offline_$s/EP_speedup.csv"
-done
-"$CLIENT" --tcp "$PORT_B" --shutdown >/dev/null
-"$CLIENT" --tcp "$PORT_A" --shutdown >/dev/null
-wait $FAB_B
-wait $FAB_A
-metric_positive "$FAB_DIR/metrics_b.csv" "cas.hit"
-metric_positive "$FAB_DIR/metrics_b.csv" "serve.forwarded_columns"
-echo "fabric OK (cold/warm/forwarded byte-identical, peer read through CAS)"
-# Leg 2: skewed load. The victim runs one worker and owns every column
-# (it has no peers); the idle thief is peered to it. All eight specs
-# land on the victim at once — 24 queued columns, several hundred
-# milliseconds of backlog — so the thief's probes find a queue to
-# drain, and every stolen column's record rides back over cas.put.
-"$ROOT/build/tools/pasim_serve" --tcp 0 --cache "$FAB_DIR/cache_v" \
-  --workers 1 --metrics-csv "$FAB_DIR/metrics_v.csv" \
-  > "$FAB_DIR/v.log" 2>&1 & FAB_V=$!
-PORT_V="$(serve_port "$FAB_DIR/v.log")"
-"$ROOT/build/tools/pasim_serve" --tcp 0 --cache "$FAB_DIR/cache_t" \
-  --workers 2 --peer "127.0.0.1:$PORT_V" \
-  --metrics-csv "$FAB_DIR/metrics_t.csv" > "$FAB_DIR/t.log" 2>&1 & FAB_T=$!
-PORT_T="$(serve_port "$FAB_DIR/t.log")"
-"$CLIENT" --tcp "$PORT_V" --wait 15 --ping >/dev/null
-"$CLIENT" --tcp "$PORT_T" --wait 15 --ping >/dev/null
-STEAL_CLIENTS=""
-for s in a1 a2 a3 a4 b1 b2 b3 b4; do
-  "$CLIENT" --tcp "$PORT_V" --spec "$FAB_DIR/spec_$s.json" \
-    --out "$FAB_DIR/steal_$s" >/dev/null & STEAL_CLIENTS="$STEAL_CLIENTS $!"
-done
-for pid in $STEAL_CLIENTS; do wait "$pid"; done
-for s in a1 a2 a3 a4 b1 b2 b3 b4; do
-  cmp "$FAB_DIR/steal_$s/EP_time.csv" "$FAB_DIR/offline_$s/EP_time.csv"
-  cmp "$FAB_DIR/steal_$s/EP_speedup.csv" "$FAB_DIR/offline_$s/EP_speedup.csv"
-done
-"$CLIENT" --tcp "$PORT_T" --shutdown >/dev/null
-"$CLIENT" --tcp "$PORT_V" --shutdown >/dev/null
-wait $FAB_T
-wait $FAB_V
-metric_positive "$FAB_DIR/metrics_t.csv" "serve.steal_columns"
-metric_positive "$FAB_DIR/metrics_v.csv" "serve.steal_given"
-echo "steal OK (idle thief drained the victim, output byte-identical)"
-# Leg 3: SIGKILL one broker mid-sweep. All eight specs land cold on
-# the survivor (fresh caches), which forwards the peer-owned columns;
-# 150ms in — while the backlog is still draining — the peer vanishes
-# without a goodbye. The survivor must reclaim whatever it had
-# forwarded or lent, re-run it locally, and still answer every
-# submission byte-identically.
-"$ROOT/build/tools/pasim_serve" --tcp 0 --cache "$FAB_DIR/cache_b3" \
-  --workers 2 > "$FAB_DIR/b3.log" 2>&1 & FAB_B3=$!
-PORT_B3="$(serve_port "$FAB_DIR/b3.log")"
-"$ROOT/build/tools/pasim_serve" --tcp 0 --cache "$FAB_DIR/cache_a3" \
-  --workers 2 --peer "127.0.0.1:$PORT_B3" \
-  > "$FAB_DIR/a3.log" 2>&1 & FAB_A3=$!
-PORT_A3="$(serve_port "$FAB_DIR/a3.log")"
-"$CLIENT" --tcp "$PORT_A3" --wait 15 --ping >/dev/null
-"$CLIENT" --tcp "$PORT_B3" --wait 15 --ping >/dev/null
-KILL_CLIENTS=""
-for s in a1 a2 a3 a4 b1 b2 b3 b4; do
-  "$CLIENT" --tcp "$PORT_A3" --spec "$FAB_DIR/spec_$s.json" \
-    --out "$FAB_DIR/kill_$s" >/dev/null & KILL_CLIENTS="$KILL_CLIENTS $!"
-done
-sleep 0.15
-kill -9 "$FAB_B3"
-wait "$FAB_B3" 2>/dev/null || true
-for pid in $KILL_CLIENTS; do wait "$pid"; done
-for s in a1 a2 a3 a4 b1 b2 b3 b4; do
-  cmp "$FAB_DIR/kill_$s/EP_time.csv" "$FAB_DIR/offline_$s/EP_time.csv"
-  cmp "$FAB_DIR/kill_$s/EP_speedup.csv" "$FAB_DIR/offline_$s/EP_speedup.csv"
-done
-"$CLIENT" --tcp "$PORT_A3" --shutdown >/dev/null
-wait $FAB_A3
-echo "kill-one OK (survivor healed, output byte-identical to offline)"
+pgrep -P "$KILL_PID" >/dev/null || { echo "no worker was ever forked"; exit 1; }
+kill -9 "$KILL_PID"
+wait "$KILL_PID" 2>/dev/null || true
+if wait "$KILLED_CLIENT"; then
+  echo "the sweep finished before the server was killed"; exit 1
+fi
+start_kill_server
+"$CLIENT" --socket "$KILL_SOCK" --spec specs/ep_paper.json \
+  --out "$SERVE_DIR/ep_restarted" >/dev/null
+cmp "$SERVE_DIR/ep_restarted/EP_time.csv" "$SERVE_DIR/ep_offline/EP_time.csv"
+cmp "$SERVE_DIR/ep_restarted/EP_speedup.csv" \
+  "$SERVE_DIR/ep_offline/EP_speedup.csv"
+"$CLIENT" --socket "$KILL_SOCK" --shutdown >/dev/null
+wait $KILL_PID
+echo "kill/restart OK (restarted server answered byte-identically)"
 
 echo "== tier 1: perf baseline =="
 # Optimized tree, fresh recording of BENCH_micro_sim.json,
-# BENCH_full_report.json and BENCH_resilience_sweep.json, then a schema
-# check of all three. Per-benchmark slowdowns are warn-only (machines
-# differ), but a *median* slowdown above 25% across the whole suite is
-# a hard failure — individual noise cannot trip it, a genuine perf
-# regression will.
+# BENCH_full_report.json and BENCH_resilience_sweep.json into a temp
+# dir (the committed files stay untouched), then a schema check of all
+# three. Per-benchmark slowdowns are warn-only (machines differ), but a
+# *median* slowdown above 25% across the whole suite against the
+# committed baselines is a hard failure — individual noise cannot trip
+# it, a genuine perf regression will.
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-perf -j "$JOBS" \
-  --target micro_sim full_report resilience_sweep serve_throughput
-# Keep the committed baselines aside before bench_record.sh overwrites
-# them, so the fresh recording can be compared against them.
-for f in BENCH_micro_sim.json BENCH_full_report.json \
-         BENCH_resilience_sweep.json BENCH_serve_throughput.json; do
-  [ -f "$f" ] && cp "$f" "$BASELINE_DIR/"
-done
-scripts/bench_record.sh build-perf
+  --target micro_sim full_report resilience_sweep
+scripts/bench_record.sh build-perf "$PERF_DIR"
 if command -v python3 >/dev/null; then
-  python3 scripts/check_bench_schema.py \
-    BENCH_micro_sim.json BENCH_full_report.json \
-    BENCH_resilience_sweep.json BENCH_serve_throughput.json
+  python3 scripts/check_bench_schema.py "$PERF_DIR/BENCH_micro_sim.json" \
+    "$PERF_DIR/BENCH_full_report.json" "$PERF_DIR/BENCH_resilience_sweep.json"
   python3 scripts/check_bench_regression.py \
-    --baseline "$BASELINE_DIR" --fresh . --fail-on-regress 25
+    --baseline . --fresh "$PERF_DIR" --fail-on-regress 25
 else
   echo "skipped bench schema + regression checks: python3 not available"
 fi

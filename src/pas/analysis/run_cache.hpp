@@ -128,8 +128,7 @@ class RunCache {
       const std::string& key, sim::WorkLedger ledger);
 
   /// The canonical serialized ledger payload — the exact bytes
-  /// store_ledger persists after the entry header. The serve CAS tier
-  /// (DESIGN.md §15) ships ledgers between brokers in this encoding.
+  /// store_ledger persists after the entry header.
   static std::string encode_ledger(const sim::WorkLedger& ledger);
 
   /// Parses exactly what encode_ledger produced. False on any

@@ -28,9 +28,7 @@ bool transient_connect_error(int err) {
 Fd connect(const ClientOptions& opts) {
   for (int attempt = 0;; ++attempt) {
     try {
-      Fd fd = connect_once(opts);
-      if (opts.recv_timeout_s > 0.0) set_recv_timeout(fd, opts.recv_timeout_s);
-      return fd;
+      return connect_once(opts);
     } catch (const ConnectError& e) {
       if (attempt >= opts.connect_retries ||
           !transient_connect_error(e.saved_errno))
@@ -107,11 +105,10 @@ bool Client::shutdown_server() {
   return ok != nullptr && ok->is_bool() && ok->as_bool();
 }
 
-SweepReply Client::sweep(const analysis::SweepSpec& spec, bool forwarded) {
+SweepReply Client::sweep(const analysis::SweepSpec& spec) {
   util::Json body = util::Json::object();
   body.set("op", util::Json("sweep"));
   body.set("spec", spec.to_json());
-  if (forwarded) body.set("forwarded", util::Json(true));
   const util::Json header = request(body);
   const util::Json* ok = header.find("ok");
   if (ok == nullptr || !ok->is_bool() || !ok->as_bool())

@@ -24,10 +24,6 @@ struct ClientOptions {
   /// (bad address, permission) never retry.
   int connect_retries = 0;
   double connect_backoff_s = 0.05;
-  /// Bounds every read on the connection (SO_RCVTIMEO); <= 0 waits
-  /// forever. Set by brokers forwarding sweeps to peers, so a hung
-  /// peer costs a timeout instead of a wedged thread.
-  double recv_timeout_s = 0.0;
 };
 
 /// One decoded sweep response.
@@ -59,15 +55,8 @@ class Client {
 
   /// Submits the spec's document half and blocks for the full
   /// response. Throws std::runtime_error on a protocol error, a server
-  /// error response, or a lost connection. `forwarded` marks the
-  /// request as broker-to-broker: the receiving broker executes it
-  /// locally instead of re-entering the peer fabric.
-  SweepReply sweep(const analysis::SweepSpec& spec, bool forwarded = false);
-
-  /// Unblocks any thread parked in this client's recv (thread-safe);
-  /// the next read fails. For stop paths that must not wait out a
-  /// recv timeout.
-  void abort() const { fd_.shutdown_both(); }
+  /// error response, or a lost connection.
+  SweepReply sweep(const analysis::SweepSpec& spec);
 
  private:
   util::Json request(const util::Json& body);

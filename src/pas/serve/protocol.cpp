@@ -3,8 +3,6 @@
 #include <sstream>
 
 #include "pas/analysis/run_cache.hpp"
-#include "pas/util/format.hpp"
-#include "pas/util/fs.hpp"
 
 namespace pas::serve {
 
@@ -51,24 +49,6 @@ bool decode_point_line(const util::Json& line, PointLine* out) {
   out->index = static_cast<std::size_t>(point->as_number());
   out->from_cache = from_cache->as_bool();
   out->record = std::move(rec);
-  return true;
-}
-
-std::string cas_checksum(const std::string& payload) {
-  return util::strf("%016llx", static_cast<unsigned long long>(
-                                   util::fnv1a(payload)));
-}
-
-bool decode_cas_payload(const util::Json& msg, std::string* payload,
-                        bool* verified) {
-  *verified = false;
-  if (!msg.is_object()) return false;
-  const util::Json* p = msg.find("payload");
-  const util::Json* sum = msg.find("sum");
-  if (p == nullptr || !p->is_string()) return false;
-  if (sum == nullptr || !sum->is_string()) return false;
-  *payload = p->as_string();
-  *verified = sum->as_string() == cas_checksum(*payload);
   return true;
 }
 

@@ -8,12 +8,6 @@
 //   {"op":"shutdown"}
 //   {"op":"sweep","spec":{...}}     spec = canonical SweepSpec JSON
 //
-// Peer-fabric requests (DESIGN.md §15 — brokers talking to brokers):
-//
-//   {"op":"cas.get","kind":"record"|"ledger","key":K}
-//   {"op":"cas.put","kind":"record","key":K,"payload":P,"sum":H}
-//   {"op":"steal"}
-//
 // Responses:
 //
 //   ping / shutdown   {"ok":true,"op":<op>}
@@ -26,26 +20,15 @@
 //                     SweepExecutor::run() emits), then a trailer
 //                       {"done":true,"points":N,
 //                        "cache_hits":H,"dedup_hits":D}
-//   cas.get           {"ok":true,"op":"cas.get","hit":true,
-//                      "payload":P,"sum":H}   (or "hit":false)
-//   cas.put           {"ok":true,"op":"cas.put"}
-//   steal             {"ok":true,"op":"steal","column":{...}|null}
 //
-// CAS payloads are the RunCache canonical encodings embedded in a
-// JSON string — encode_ledger for ledgers, and for records the sweep
-// journal's status/error framing around encode_record (deterministic
-// failures are journal material and must survive the wire with their
-// status intact; bare encode_record cannot carry one). `sum` is the
-// fnv1a-64 of the payload bytes in fixed 16-hex spelling — verified by
-// the receiving side on both get and put, so a corrupt or tampered
-// entry can never cross hosts into a cache.
-//
-// Each point line carries the full RunRecord in the same framed
-// encoding (status/error around the hex-float RunCache bytes) embedded
-// in a JSON string, so the record a client decodes is bit-identical —
-// status and diagnostic included — to what an offline sweep of the
-// same spec produces. The byte-identical-artifacts oracle rests on
-// this transport being exact.
+// Each point line carries the full RunRecord as a JSON string in the
+// sweep journal's status/error framing around the hex-float RunCache
+// bytes (cas_encode_record), so the record a client decodes is
+// bit-identical — status and diagnostic included — to what an offline
+// sweep of the same spec produces. Bare encode_record cannot carry a
+// status, and a deterministic failure (a fault abort) is an answer
+// like any other. The byte-identical-artifacts oracle rests on this
+// transport being exact.
 #pragma once
 
 #include <cstddef>
@@ -80,26 +63,15 @@ std::string encode_point_line(std::size_t index,
 /// mistyped or undecodable member.
 bool decode_point_line(const util::Json& line, PointLine* out);
 
-/// The CAS content checksum: fnv1a-64 of the payload bytes, fixed
-/// 16-hex spelling (matches the run-cache entry `sum` line).
-std::string cas_checksum(const std::string& payload);
-
-/// Pulls `payload` out of a CAS message (a cas.put request or a
-/// cas.get hit reply) and verifies its `sum`. False on a missing or
-/// mistyped member; *verified=false (with the payload still returned)
-/// on a checksum mismatch, so callers can quarantine the bytes.
-bool decode_cas_payload(const util::Json& msg, std::string* payload,
-                        bool* verified);
-
-/// The cas record payload: the journal's status/error framing
+/// A point line's `record` member: the journal's status/error framing
 /// followed by the RunCache::encode_record bytes —
 ///
 ///   status <RunStatus int>\n
 ///   error <bytes>\n<raw error text>\n
 ///   <encode_record bytes>
 ///
-/// so a deterministic-failure record crosses hosts exactly as it
-/// crosses a journal, status and diagnostic intact.
+/// so a deterministic-failure record reaches the client exactly as it
+/// sits in the journal, status and diagnostic intact.
 std::string cas_encode_record(const analysis::RunRecord& record);
 
 /// Parses what cas_encode_record produced. False on any malformed

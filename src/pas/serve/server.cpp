@@ -28,8 +28,6 @@ Server::Server(ServerOptions opts)
       requests_(obs::registry().counter("serve.requests")),
       connections_(obs::registry().counter("serve.connections")),
       protocol_errors_(obs::registry().counter("serve.protocol_errors")),
-      cas_served_(obs::registry().counter("cas.served")),
-      cas_rejected_(obs::registry().counter("cas.rejected")),
       request_seconds_(obs::registry().histogram("serve.request_seconds")) {
   if (opts_.unix_socket.empty() && opts_.tcp_port < 0)
     throw std::invalid_argument(
@@ -38,19 +36,6 @@ Server::Server(ServerOptions opts)
     unix_listener_ = listen_unix(opts_.unix_socket);
   if (opts_.tcp_port >= 0)
     tcp_listener_ = listen_tcp(opts_.tcp_port, &bound_tcp_port_);
-  if (!opts_.peers.empty()) {
-    // Peering needs the bound port first: the advertised identity IS
-    // the address peers dial, and rendezvous hashes its exact spelling.
-    if (opts_.advertise.empty() && bound_tcp_port_ < 0)
-      throw std::invalid_argument(
-          "serve: --peer needs a tcp listener (or an explicit advertise "
-          "address)");
-    const std::string self =
-        opts_.advertise.empty()
-            ? "127.0.0.1:" + std::to_string(bound_tcp_port_)
-            : opts_.advertise;
-    broker_.configure_peering(self, opts_.peers);
-  }
   if (unix_listener_.valid())
     accept_threads_.emplace_back([this] { accept_loop(&unix_listener_); });
   if (tcp_listener_.valid())
@@ -101,56 +86,6 @@ void Server::handle_connection(std::shared_ptr<Fd> conn) {
         wait_cv_.notify_all();
       } else if (name == "sweep") {
         handle_sweep(request, *conn);
-      } else if (name == "cas.get") {
-        const util::Json* kind = request.find("kind");
-        const util::Json* key = request.find("key");
-        if (kind == nullptr || !kind->is_string() || key == nullptr ||
-            !key->is_string())
-          throw std::invalid_argument(
-              "cas.get needs string \"kind\" and \"key\" members");
-        util::Json reply = util::Json::object();
-        reply.set("ok", util::Json(true));
-        reply.set("op", util::Json("cas.get"));
-        if (std::optional<std::string> payload =
-                broker_.cas_lookup(kind->as_string(), key->as_string())) {
-          reply.set("hit", util::Json(true));
-          reply.set("sum", util::Json(cas_checksum(*payload)));
-          reply.set("payload", util::Json(std::move(*payload)));
-          cas_served_.add();
-        } else {
-          reply.set("hit", util::Json(false));
-        }
-        if (!send_all(*conn, reply.dump() + "\n")) break;
-      } else if (name == "cas.put") {
-        const util::Json* kind = request.find("kind");
-        const util::Json* key = request.find("key");
-        if (kind == nullptr || !kind->is_string() || key == nullptr ||
-            !key->is_string())
-          throw std::invalid_argument(
-              "cas.put needs string \"kind\" and \"key\" members");
-        if (kind->as_string() != "record")
-          throw std::invalid_argument("cas.put only accepts kind \"record\"");
-        std::string payload;
-        bool verified = false;
-        if (!decode_cas_payload(request, &payload, &verified))
-          throw std::invalid_argument(
-              "cas.put needs string \"payload\" and \"sum\" members");
-        if (!verified || !broker_.cas_import(key->as_string(), payload)) {
-          // Corruption (or an environmental-failure record) stops at
-          // the door: counted, refused, and never journaled.
-          cas_rejected_.add();
-          throw std::invalid_argument("cas.put payload rejected");
-        }
-        if (!send_all(*conn, ok_line("cas.put"))) break;
-      } else if (name == "steal") {
-        util::Json reply = util::Json::object();
-        reply.set("ok", util::Json(true));
-        reply.set("op", util::Json("steal"));
-        if (std::optional<util::Json> column = broker_.give_column())
-          reply.set("column", std::move(*column));
-        else
-          reply.set("column", util::Json());
-        if (!send_all(*conn, reply.dump() + "\n")) break;
       } else {
         throw std::invalid_argument("unknown op \"" + name + "\"");
       }
@@ -176,13 +111,8 @@ void Server::handle_sweep(const util::Json& request, const Fd& conn) {
   const util::Json* spec_json = request.find("spec");
   if (spec_json == nullptr)
     throw std::invalid_argument("sweep request needs a \"spec\" member");
-  const analysis::SweepSpec spec = analysis::SweepSpec::from_json(*spec_json);
-  // A forwarded sweep came from a peer broker: execute it locally so
-  // two brokers whose peer sets disagree can never forward in a cycle.
-  const util::Json* forwarded = request.find("forwarded");
-  const bool local_only =
-      forwarded != nullptr && forwarded->is_bool() && forwarded->as_bool();
-  const Broker::SweepResult result = broker_.run(spec, local_only);
+  const Broker::SweepResult result =
+      broker_.run(analysis::SweepSpec::from_json(*spec_json));
 
   // Buffer the whole response: header, one line per grid point, trailer.
   util::Json header = util::Json::object();

@@ -3,12 +3,12 @@
 //
 // A Server owns one Broker and serves the line protocol
 // (pas/serve/protocol.hpp) over a Unix-domain socket, a localhost TCP
-// port, or both. Each connection gets a thread; requests on one
-// connection are sequential (the protocol is request/response), while
-// sweeps from different connections run concurrently and dedup inside
-// the broker. A malformed request line costs an error response, never
-// the connection; a vanished client costs the connection, never the
-// server.
+// port, or both: one server serves one host. Each connection gets a
+// thread; requests on one connection are sequential (the protocol is
+// request/response), while sweeps from different connections run
+// concurrently and dedup inside the broker. A malformed request line
+// costs an error response, never the connection; a vanished client
+// costs the connection, never the server.
 #pragma once
 
 #include <atomic>
@@ -33,14 +33,6 @@ struct ServerOptions {
   /// When set, the full metrics registry (volatile rows included —
   /// serving traffic is wall-clock shaped) is written here on stop().
   std::string metrics_csv;
-  /// Other brokers' advertised identities (host:port). Non-empty
-  /// joins the shard fabric (DESIGN.md §15) — requires the TCP
-  /// listener (peers dial back on it).
-  std::vector<std::string> peers;
-  /// The identity this broker is reachable at, spelled exactly as the
-  /// peers spell it in their --peer flags. Empty derives
-  /// 127.0.0.1:<bound tcp port> — right for single-host fabrics.
-  std::string advertise;
 };
 
 class Server {
@@ -56,7 +48,6 @@ class Server {
 
   /// The actually bound TCP port (-1 when TCP is disabled).
   int tcp_port() const { return bound_tcp_port_; }
-  Broker& broker() { return broker_; }
 
   /// Blocks until a client sends {"op":"shutdown"} or stop() is called.
   void wait();
@@ -96,8 +87,6 @@ class Server {
   obs::Counter& requests_;
   obs::Counter& connections_;
   obs::Counter& protocol_errors_;
-  obs::Counter& cas_served_;
-  obs::Counter& cas_rejected_;
   obs::Histogram& request_seconds_;
 };
 

@@ -8,7 +8,6 @@
 #include <poll.h>
 #include <stdexcept>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -134,15 +133,6 @@ Fd connect_tcp(const std::string& host, int port) {
   const int one = 1;
   ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
-}
-
-void set_recv_timeout(const Fd& fd, double timeout_s) {
-  timeval tv{};
-  if (timeout_s > 0.0) {
-    tv.tv_sec = static_cast<time_t>(timeout_s);
-    tv.tv_usec = static_cast<suseconds_t>((timeout_s - tv.tv_sec) * 1e6);
-  }
-  ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
 Fd accept_with_timeout(const Fd& listener, double timeout_s) {

@@ -71,11 +71,6 @@ Fd listen_tcp(int port, int* bound_port);
 Fd connect_unix(const std::string& path);
 Fd connect_tcp(const std::string& host, int port);
 
-/// SO_RCVTIMEO: a recv() parked on this fd returns after `timeout_s`
-/// instead of blocking forever. Peer links use this so a hung broker
-/// costs a bounded wait, never a wedged scheduler. <= 0 clears it.
-void set_recv_timeout(const Fd& fd, double timeout_s);
-
 /// Waits up to `timeout_s` for a connection; returns an invalid Fd on
 /// timeout (the accept loop's stop-flag poll point).
 Fd accept_with_timeout(const Fd& listener, double timeout_s);

@@ -10,9 +10,9 @@ namespace pas::util {
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
   // A repeated option accumulates comma-joined, so list-valued flags
-  // (--peer host:port, once per peer) compose with get_list(); for
-  // scalar getters the joined value simply fails to parse past the
-  // first element, which repeated scalar flags never relied on.
+  // (--nodes 1 --nodes 2) compose with get_int_list(); for scalar
+  // getters the joined value simply fails to parse past the first
+  // element, which repeated scalar flags never relied on.
   const auto put = [this](const std::string& name, const std::string& value) {
     auto [it, inserted] = options_.try_emplace(name, value);
     if (!inserted && !value.empty()) {
@@ -94,21 +94,6 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
       it->second == "yes" || it->second == "on")
     return true;
   return false;
-}
-
-std::vector<std::string> Cli::get_list(const std::string& name) const {
-  std::vector<std::string> out;
-  auto it = options_.find(name);
-  if (it == options_.end()) return out;
-  const std::string& s = it->second;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    if (comma > pos) out.push_back(s.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return out;
 }
 
 std::vector<long> Cli::get_int_list(const std::string& name,

@@ -37,11 +37,6 @@ class Cli {
   std::vector<long> get_int_list(const std::string& name,
                                  std::vector<long> fallback) const;
 
-  /// Comma-separated list of strings; a flag repeated on the command
-  /// line (--peer a:1 --peer b:2) accumulates into the same list.
-  /// Empty when the option is absent; empty elements are dropped.
-  std::vector<std::string> get_list(const std::string& name) const;
-
   /// Positional arguments (everything not consumed as an option).
   const std::vector<std::string>& positional() const { return positional_; }
 

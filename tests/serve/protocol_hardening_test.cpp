@@ -1,10 +1,9 @@
-// Protocol hardening for the pasim_serve line protocol (DESIGN.md §13,
-// §15): a hostile or confused peer costs an error line (or, when
-// framing itself is lost, one connection) — never the server, never a
-// poisoned journal. Covers oversized frames, unknown ops, and every
-// malformed-cas.put shape a bad peer can send: missing members, wrong
-// kind, checksum mismatch, checksummed garbage, and a correctly
-// checksummed record carrying an environmental (crash) status.
+// Protocol hardening for the pasim_serve line protocol (DESIGN.md §13):
+// a hostile or confused client costs an error line (or, when framing
+// itself is lost, one connection) — never the server. Covers oversized
+// frames, unknown ops, and the status framing of point lines: a record
+// survives the wire with its status and diagnostic intact, and a line
+// whose record lacks that framing is refused.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -53,8 +52,6 @@ struct Harness {
     EXPECT_TRUE(reader.next(&reply));
     return util::Json::parse(reply);
   }
-
-  std::size_t journal_entries() { return server.broker().journal_entries(); }
 
   ServerOptions opts;
   Server server;
@@ -106,122 +103,60 @@ TEST(ServeHardening, UnknownOpIsAnErrorLineOnALiveConnection) {
                   ->as_bool());
 }
 
-TEST(ServeHardening, CasGetValidatesMembersAndMissesCleanly) {
-  Harness h(temp_dir("cas_get"));
-  Fd conn = h.connect();
-  ASSERT_TRUE(conn.valid());
-  LineReader reader(conn);
+TEST(ServeHardening, PointLinesKeepStatusAndRejectUnframedRecords) {
+  analysis::RunRecord ok;
+  ok.nodes = 4;
+  ok.frequency_mhz = 800.0;
+  ok.seconds = 1.5;
+  ok.mean_cpu_s = 0.25;
+  ok.energy.cpu_j = 12.0;
+  analysis::RunRecord deadlock = ok;
+  deadlock.status = analysis::RunStatus::kDeadlock;
+  deadlock.error = "rank 1 deadlocked\nwaiting on rank 0";
+  analysis::RunRecord lost = ok;
+  lost.status = analysis::RunStatus::kMessageLoss;
+  lost.error = "message lost after 1 attempt(s)";
+  lost.send_retries = 3.0;
 
-  EXPECT_TRUE(is_error(h.round_trip(conn, reader, "{\"op\":\"cas.get\"}")));
-  EXPECT_TRUE(is_error(h.round_trip(
-      conn, reader, "{\"op\":\"cas.get\",\"kind\":\"record\",\"key\":3}")));
+  std::size_t index = 0;
+  for (const analysis::RunRecord& rec : {ok, deadlock, lost}) {
+    const std::string line = encode_point_line(index, rec, index == 1);
+    ASSERT_EQ(line.back(), '\n');
+    PointLine back;
+    ASSERT_TRUE(decode_point_line(util::Json::parse(line), &back)) << line;
+    EXPECT_EQ(back.index, index);
+    EXPECT_EQ(back.from_cache, index == 1);
+    EXPECT_EQ(back.record.status, rec.status);
+    EXPECT_EQ(back.record.error, rec.error);
+    EXPECT_EQ(analysis::RunCache::encode_record(back.record),
+              analysis::RunCache::encode_record(rec));
+    EXPECT_EQ(cas_encode_record(back.record), cas_encode_record(rec));
+    ++index;
+  }
 
-  // An unknown key is a miss, not an error — and an unknown kind too.
-  util::Json miss = h.round_trip(
-      conn, reader,
-      "{\"op\":\"cas.get\",\"kind\":\"record\",\"key\":\"no-such-key\"}");
-  EXPECT_TRUE(miss.find("ok")->as_bool());
-  EXPECT_FALSE(miss.find("hit")->as_bool());
-  miss = h.round_trip(
-      conn, reader,
-      "{\"op\":\"cas.get\",\"kind\":\"checkpoint\",\"key\":\"k\"}");
-  EXPECT_TRUE(miss.find("ok")->as_bool());
-  EXPECT_FALSE(miss.find("hit")->as_bool());
-}
-
-TEST(ServeHardening, MalformedCasPutNeverReachesTheJournal) {
-  Harness h(temp_dir("cas_put"));
-  Fd conn = h.connect();
-  ASSERT_TRUE(conn.valid());
-  LineReader reader(conn);
-
-  auto put = [&](const std::string& payload, const std::string& sum) {
-    util::Json req = util::Json::object();
-    req.set("op", util::Json("cas.put"));
-    req.set("kind", util::Json("record"));
-    req.set("key", util::Json("some-key"));
-    req.set("payload", util::Json(payload));
-    req.set("sum", util::Json(sum));
-    return h.round_trip(conn, reader, req.dump());
+  // A line whose `record` member is not status-framed is refused: bare
+  // encode_record bytes cannot say whether the run failed, and garbage
+  // is garbage.
+  const util::Json good = util::Json::parse(encode_point_line(0, lost, false));
+  // `good` with `key` set to `value`, or dropped when `value` is null.
+  const auto edit = [&good](const std::string& key, const util::Json* value) {
+    util::Json j = util::Json::object();
+    for (const auto& [k, v] : good.members())
+      if (k != key) j.set(k, v);
+    if (value != nullptr) j.set(key, *value);
+    return j;
   };
-
-  // Missing payload/sum members.
-  EXPECT_TRUE(is_error(h.round_trip(
-      conn, reader,
-      "{\"op\":\"cas.put\",\"kind\":\"record\",\"key\":\"k\"}")));
-  // Only records may be pushed.
-  EXPECT_TRUE(is_error(h.round_trip(
-      conn, reader,
-      "{\"op\":\"cas.put\",\"kind\":\"ledger\",\"key\":\"k\","
-      "\"payload\":\"x\",\"sum\":\"0\"}")));
-  // Checksum mismatch: the canonical corruption case.
-  EXPECT_TRUE(is_error(put("plausible payload", "0000000000000000")));
-  // Correct checksum over garbage that does not decode as a record.
-  const std::string garbage = "not a record at all";
-  EXPECT_TRUE(is_error(put(garbage, cas_checksum(garbage))));
-  // ... or over bare encode_record bytes missing the status framing —
-  // an unframed record cannot prove it was not a failure.
-  analysis::RunRecord crashed;
-  crashed.nodes = 2;
-  crashed.frequency_mhz = 800.0;
-  crashed.status = analysis::RunStatus::kCrashed;
-  crashed.error = "synthesized by a confused peer";
-  const std::string bare = analysis::RunCache::encode_record(crashed);
-  EXPECT_TRUE(is_error(put(bare, cas_checksum(bare))));
-  // Correct checksum over a well-framed record with an environmental
-  // status — crash records must never cross hosts into a journal.
-  const std::string env = cas_encode_record(crashed);
-  EXPECT_TRUE(is_error(put(env, cas_checksum(env))));
-
-  EXPECT_EQ(h.journal_entries(), 0u);
-
-  // A genuine record with a matching checksum is accepted, journaled,
-  // and served back byte-identically by cas.get.
-  analysis::RunRecord good = crashed;
-  good.status = analysis::RunStatus::kOk;
-  good.error.clear();
-  good.seconds = 1.5;
-  const std::string payload = cas_encode_record(good);
-  const util::Json accepted = put(payload, cas_checksum(payload));
-  EXPECT_TRUE(accepted.find("ok")->as_bool());
-  EXPECT_EQ(h.journal_entries(), 1u);
-  const util::Json hit = h.round_trip(
-      conn, reader,
-      "{\"op\":\"cas.get\",\"kind\":\"record\",\"key\":\"some-key\"}");
-  ASSERT_TRUE(hit.find("hit")->as_bool());
-  EXPECT_EQ(hit.find("payload")->as_string(), payload);
-  EXPECT_EQ(hit.find("sum")->as_string(), cas_checksum(payload));
-
-  // A deterministic failure (a fault abort, not a crash) IS journal
-  // material and must round-trip with status and diagnostic intact.
-  analysis::RunRecord aborted = good;
-  aborted.status = analysis::RunStatus::kDeadlock;
-  aborted.error = "rank 1 deadlocked";
-  const std::string det = cas_encode_record(aborted);
-  util::Json req = util::Json::object();
-  req.set("op", util::Json("cas.put"));
-  req.set("kind", util::Json("record"));
-  req.set("key", util::Json("failed-key"));
-  req.set("payload", util::Json(det));
-  req.set("sum", util::Json(cas_checksum(det)));
-  EXPECT_TRUE(h.round_trip(conn, reader, req.dump()).find("ok")->as_bool());
-  const util::Json back = h.round_trip(
-      conn, reader,
-      "{\"op\":\"cas.get\",\"kind\":\"record\",\"key\":\"failed-key\"}");
-  ASSERT_TRUE(back.find("hit")->as_bool());
-  EXPECT_EQ(back.find("payload")->as_string(), det);
-}
-
-TEST(ServeHardening, StealAgainstAnIdleBrokerReturnsNull) {
-  Harness h(temp_dir("steal_idle"));
-  Fd conn = h.connect();
-  ASSERT_TRUE(conn.valid());
-  LineReader reader(conn);
-
-  const util::Json reply = h.round_trip(conn, reader, "{\"op\":\"steal\"}");
-  EXPECT_TRUE(reply.find("ok")->as_bool());
-  ASSERT_NE(reply.find("column"), nullptr);
-  EXPECT_TRUE(reply.find("column")->is_null());
+  PointLine out;
+  const util::Json bare(analysis::RunCache::encode_record(lost));
+  EXPECT_FALSE(decode_point_line(edit("record", &bare), &out));
+  for (const char* junk : {"not a record at all", "status 3\nerror x"}) {
+    const util::Json garbage(junk);
+    EXPECT_FALSE(decode_point_line(edit("record", &garbage), &out)) << junk;
+  }
+  EXPECT_FALSE(decode_point_line(edit("from_cache", nullptr), &out));
+  // The untouched line still decodes: the refusals above are the edits'.
+  EXPECT_TRUE(decode_point_line(good, &out));
+  EXPECT_EQ(out.record.status, analysis::RunStatus::kMessageLoss);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // pasim_serve end-to-end torture tests (DESIGN.md §13): broker
 // cold/warm behavior, in-flight dedup of concurrent identical
 // submissions, SIGKILLed workers mid-column (journaled points survive,
-// unfinished members fail soft and are retried for real later), and
-// the byte-identity oracle — served records equal an offline
+// unfinished members fail soft and are retried for real later), a
+// restarted server answering from its predecessor's journal, and the
+// byte-identity oracle — served records equal an offline
 // SweepExecutor run of the same document, byte for byte through the
 // cache encoding. Forks on purpose — excluded from TSan like the other
 // fork-based binaries.
@@ -20,9 +21,11 @@
 #include "pas/analysis/run_cache.hpp"
 #include "pas/analysis/sweep_executor.hpp"
 #include "pas/analysis/sweep_journal.hpp"
+#include "pas/fault/fault.hpp"
 #include "pas/obs/metrics.hpp"
 #include "pas/serve/broker.hpp"
 #include "pas/serve/client.hpp"
+#include "pas/serve/protocol.hpp"
 #include "pas/serve/server.hpp"
 #include "pas/util/json.hpp"
 
@@ -308,6 +311,64 @@ TEST(ServeServer, EndToEndOverUnixSocketWithConcurrentClients) {
   EXPECT_TRUE(server.wait_for(10.0));
   server.stop();
   EXPECT_TRUE(std::filesystem::exists(opts.metrics_csv));
+}
+
+TEST(ServeServer, RestartedServerAnswersFromItsPredecessorsJournal) {
+  const std::string dir = temp_dir("server_restart");
+  ServerOptions opts;
+  opts.unix_socket = dir + "/serve.sock";
+  opts.broker.cache_dir = dir + "/cache";
+  opts.broker.workers = 1;
+  ClientOptions copts;
+  copts.unix_socket = opts.unix_socket;
+
+  // Every send is dropped with probability 0.5 and never retried, so
+  // every point fails deterministically with kMessageLoss: journal
+  // material, never cache material. Only the journal can answer them.
+  analysis::SweepSpec spec = small_spec("EP");
+  spec.nodes = {2, 4};
+  spec.freqs_mhz = {600.0, 800.0, 1000.0};
+  spec.fault = fault::FaultConfig{};
+  spec.fault->message_drop_prob = 0.5;
+  spec.fault->max_send_attempts = 1;
+  const std::vector<analysis::RunRecord> offline = offline_records(spec);
+  ASSERT_EQ(offline.size(), 6u);
+  const auto expect_offline = [&offline](const SweepReply& reply) {
+    ASSERT_EQ(reply.records.size(), offline.size());
+    for (std::size_t i = 0; i < offline.size(); ++i) {
+      EXPECT_EQ(reply.records[i].status, analysis::RunStatus::kMessageLoss)
+          << "record " << i;
+      EXPECT_EQ(reply.records[i].error, offline[i].error) << "record " << i;
+      EXPECT_EQ(cas_encode_record(reply.records[i]),
+                cas_encode_record(offline[i]))
+          << "record " << i;
+    }
+  };
+
+  {
+    Server first(opts);
+    ASSERT_TRUE(Client::wait_ready(copts, 10.0));
+    Client client(copts);
+    const SweepReply cold = client.sweep(spec);
+    EXPECT_EQ(cold.cache_hits, 0u);
+    expect_offline(cold);
+    first.stop();
+  }
+  for (const auto& entry :
+       std::filesystem::directory_iterator(opts.broker.cache_dir))
+    EXPECT_NE(entry.path().extension(), ".run") << entry.path();
+
+  obs::Counter& columns = obs::registry().counter("serve.columns");
+  const std::uint64_t columns0 = columns.value();
+  Server second(opts);
+  ASSERT_TRUE(Client::wait_ready(copts, 10.0));
+  Client client(copts);
+  const SweepReply warm = client.sweep(spec);
+  EXPECT_EQ(warm.cache_hits, 6u);
+  for (char hit : warm.from_cache) EXPECT_TRUE(hit);
+  expect_offline(warm);
+  EXPECT_EQ(columns.value(), columns0);
+  second.stop();
 }
 
 TEST(ServeServer, RejectsInvalidSpecWithoutDying) {

@@ -12,16 +12,10 @@
 //                       [--workers N] [--worker-timeout S]
 //                       [--worker-retries N] [--journal FILE]
 //                       [--cache-cap MB] [--metrics-csv FILE]
-//                       [--peer HOST:PORT]... [--advertise HOST:PORT]
-//                       [--steal-timeout S]
 //
 // --tcp 0 picks an ephemeral port (printed on stdout — scripts parse
-// the "listening" line). --peer (repeatable) joins the multi-broker
-// shard fabric of DESIGN.md §15: columns are rendezvous-assigned
-// across the fleet, records travel through the cas.get/cas.put content
-// store, and idle brokers steal queued columns. Requires --tcp;
-// --advertise overrides the derived 127.0.0.1:<port> identity when
-// peers dial a different address.
+// the "listening" line). The TCP listener binds 127.0.0.1: one server
+// serves one host, and --workers is how it grows.
 #include <csignal>
 #include <cstdio>
 #include <stdexcept>
@@ -41,19 +35,16 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   cli.check_usage({"socket", "tcp", "cache", "workers", "worker-timeout",
                    "worker-retries", "journal", "cache-cap",
-                   "metrics-csv", "peer", "advertise", "steal-timeout"});
+                   "metrics-csv"});
   serve::ServerOptions opts;
   opts.unix_socket = cli.get("socket", cli.has("tcp") ? "" : "pasim_serve.sock");
   opts.tcp_port = cli.has("tcp") ? static_cast<int>(cli.get_int("tcp", 0)) : -1;
   opts.metrics_csv = cli.get("metrics-csv", "");
-  opts.peers = cli.get_list("peer");
-  opts.advertise = cli.get("advertise", "");
   opts.broker.cache_dir = cli.get("cache", ".pasim_cache");
   opts.broker.workers = static_cast<int>(cli.get_int("workers", 2));
   opts.broker.worker_timeout_s = cli.get_double("worker-timeout", 300.0);
   opts.broker.worker_retries =
       static_cast<int>(cli.get_int("worker-retries", 1));
-  opts.broker.steal_timeout_s = cli.get_double("steal-timeout", 0.0);
   opts.broker.journal_path = cli.get("journal", "");
   opts.broker.cache_cap_bytes =
       static_cast<std::uint64_t>(cli.get_int("cache-cap", 0)) * 1024u * 1024u;
@@ -70,8 +61,6 @@ int main(int argc, char** argv) {
                   server.tcp_port());
     std::printf("pasim_serve: cache %s, %d worker(s)\n",
                 opts.broker.cache_dir.c_str(), opts.broker.workers);
-    if (!opts.peers.empty())
-      std::printf("pasim_serve: fabric of %zu peer(s)\n", opts.peers.size());
     std::fflush(stdout);
     while (g_signal == 0 && !server.wait_for(0.2)) {
     }
