@@ -3,13 +3,14 @@
 // figure — so a reviewer gets the whole paper-vs-measured story from a
 // single binary.
 //
-// The evaluation grid is executed by the SweepExecutor: grid points run
-// concurrently across a worker pool (--jobs N, default: all cores) and
-// completed operating points are memoized (--cache [dir] persists them
-// across invocations — a re-run, or a table/figure bench afterwards,
-// replays records instead of re-simulating). Concurrency and caching
-// never change the artifacts: REPORT.md and the CSVs are byte-identical
-// to the serial, uncached path (see DESIGN.md §6).
+// The evaluation grid is executed by the SweepExecutor: the columns of
+// all five kernels run as one batch across a worker pool (--jobs N,
+// default: all cores) and completed operating points are memoized
+// (--cache [dir] persists them across invocations — a re-run, or a
+// table/figure bench afterwards, replays records instead of
+// re-simulating). Concurrency and caching never change the artifacts:
+// REPORT.md and the CSVs are byte-identical to the serial, uncached
+// path (see DESIGN.md §6).
 //
 //   ./bench/full_report --out report_dir [--small] [--jobs N]
 //                       [--cache [dir]] [--no-cache]
@@ -18,7 +19,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "pas/analysis/error_table.hpp"
 #include "pas/analysis/experiment.hpp"
@@ -85,10 +88,24 @@ int main(int argc, char** argv) {
 
   analysis::SweepExecutor executor(spec);
 
-  for (const char* name : {"EP", "FT", "LU", "CG", "MG"}) {
-    const auto kernel = analysis::make_kernel(name, scale);
-    const analysis::MatrixResult m = executor.run(
-        {kernel.get(), env.nodes, env.freqs_mhz, spec.comm_dvfs_mhz});
+  // All five grids run as one batch, so --jobs N keeps N columns in
+  // flight across kernels. The document's own kernel honours its
+  // schema-v2 fields (iterations); the other four run at the preset.
+  const std::vector<const char*> names{"EP", "FT", "LU", "CG", "MG"};
+  std::vector<std::unique_ptr<npb::Kernel>> kernels;
+  std::vector<analysis::SweepRequest> requests;
+  for (const char* name : names) {
+    kernels.push_back(name == spec.kernel ? analysis::make_spec_kernel(spec)
+                                          : analysis::make_kernel(name, scale));
+    requests.push_back({kernels.back().get(), env.nodes, env.freqs_mhz,
+                        spec.comm_dvfs_mhz});
+  }
+  const std::vector<analysis::MatrixResult> results =
+      executor.run_all(requests);
+
+  for (std::size_t k = 0; k < names.size(); ++k) {
+    const char* name = names[k];
+    const analysis::MatrixResult& m = results[k];
 
     report.h2(util::strf("%s — execution-time and speedup surfaces", name));
     bool all_verified = true;

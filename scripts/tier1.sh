@@ -56,8 +56,11 @@ echo "== tier 1: concurrency tests under TSan =="
 if have_sanitizer thread; then
   cmake -B build-tsan -S . -DPASIM_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" \
-    --target util_test mpi_test analysis_test fault_test obs_test
+    --target util_test mpi_test analysis_test fault_test obs_test npb_test
   ./build-tsan/tests/util_test --gtest_filter='ThreadPool.*'
+  # EP's slice cache hands one chunk to every column that asks for it
+  # at the same moment (Ep.ConcurrentColumnsShareChunks).
+  ./build-tsan/tests/npb_test --gtest_filter='Ep.*'
   # Mailbox.* includes the many-senders/interleaved-tags stress test of
   # the bucketed queues and their targeted wakeups.
   ./build-tsan/tests/mpi_test --gtest_filter='Runtime.*:Mailbox.*'
@@ -356,6 +359,14 @@ for w in warm1 warm2; do
     exit 1
   fi
 done
+# A schema-v2 document's own fields (here a deeper iteration count)
+# must reach the offline oracle too: full_report --spec builds the
+# document's kernel from the document.
+"$CLIENT" --socket "$SOCK" --spec specs/ft_deep_small.json \
+  --out "$SERVE_DIR/deep" >/dev/null
+"$ROOT/build/bench/full_report" --spec specs/ft_deep_small.json --jobs 1 \
+  --no-cache --out "$SERVE_DIR/deep_offline" >/dev/null
+cmp "$SERVE_DIR/deep/FT_time.csv" "$SERVE_DIR/deep_offline/FT_time.csv"
 "$CLIENT" --socket "$SOCK" --stats | grep -q '"journal_entries"'
 "$CLIENT" --socket "$SOCK" --shutdown >/dev/null
 wait $SERVE_PID
@@ -395,9 +406,21 @@ for _ in $(seq 1 500); do
   pgrep -P "$KILL_PID" >/dev/null && break
   sleep 0.01
 done
-pgrep -P "$KILL_PID" >/dev/null || { echo "no worker was ever forked"; exit 1; }
+WORKERS="$(pgrep -P "$KILL_PID" || true)"
+[ -n "$WORKERS" ] || { echo "no worker was ever forked"; exit 1; }
 kill -9 "$KILL_PID"
 wait "$KILL_PID" 2>/dev/null || true
+# Workers die with their server: 0.2 s after it is reaped, each is gone
+# or a zombie awaiting its new parent's reap (state Z). A worker the
+# server's death did not reach is still simulating its column then.
+sleep 0.2
+for w in $WORKERS; do
+  state="$( (sed 's/^.*) //' "/proc/$w/stat" || true) 2>/dev/null |
+            cut -d' ' -f1)"
+  if [ -n "$state" ] && [ "$state" != Z ]; then
+    echo "worker $w outlived its SIGKILLed server (state $state)"; exit 1
+  fi
+done
 if wait "$KILLED_CLIENT"; then
   echo "the sweep finished before the server was killed"; exit 1
 fi

@@ -803,77 +803,58 @@ void SweepExecutor::run_points_isolated(const npb::Kernel& kernel,
   }
 }
 
-std::vector<RunRecord> SweepExecutor::run_points(
-    const npb::Kernel& kernel, const std::vector<Point>& points) {
-  int sweep_id = -1;
-  if (observer_) {
+void SweepExecutor::run_sweeps(std::vector<Sweep>& sweeps) {
+  for (Sweep& s : sweeps) {
+    s.records.resize(s.points.size());
+    if (!observer_) continue;
     std::vector<obs::GridPoint> grid;
-    grid.reserve(points.size());
-    for (const Point& p : points)
+    grid.reserve(s.points.size());
+    for (const Point& p : s.points)
       grid.push_back(obs::GridPoint{p.nodes, p.frequency_mhz,
                                     p.comm_dvfs_mhz});
-    sweep_id = observer_->begin_sweep(kernel.name(), std::move(grid));
+    const int id = observer_->begin_sweep(s.kernel->name(), std::move(grid));
+    s.ctxs.resize(s.points.size());
+    for (std::size_t i = 0; i < s.points.size(); ++i)
+      s.ctxs[i] = ObsCtx{id, static_cast<int>(i)};
   }
-  std::vector<ObsCtx> ctxs(points.size());
-  const ObsCtx* ctx_of = nullptr;
-  if (sweep_id >= 0) {
-    for (std::size_t i = 0; i < points.size(); ++i)
-      ctxs[i] = ObsCtx{sweep_id, static_cast<int>(i)};
-    ctx_of = ctxs.data();
-  }
-
-  std::vector<RunRecord> records(points.size());
   if (isolate_) {
-    run_points_isolated(kernel, points, ctx_of, records);
-    return records;
-  }
-  if (!fast_path_eligible(kernel)) {
-    if (points.size() <= 1 || pool_.max_threads() == 1) {
-      for (std::size_t i = 0; i < points.size(); ++i)
-        records[i] =
-            *run_point(kernel, points[i], ctx_of ? &ctx_of[i] : nullptr);
-      return records;
-    }
-    std::vector<std::future<void>> done;
-    done.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      done.push_back(
-          pool_.submit([this, &kernel, &points, &records, ctx_of, i] {
-            records[i] =
-                *run_point(kernel, points[i], ctx_of ? &ctx_of[i] : nullptr);
-          }));
-    }
-    // Drain every future before rethrowing so no task still references
-    // the local vectors.
-    std::exception_ptr first;
-    for (std::future<void>& f : done) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first) first = std::current_exception();
-      }
-    }
-    if (first) std::rethrow_exception(first);
-    return records;
+    for (Sweep& s : sweeps)
+      run_points_isolated(*s.kernel, s.points, s.ctx_of(), s.records);
+    return;
   }
 
-  // Frequency collapse: each column is one sequential task — its first
-  // cache-missing frequency simulates and records the ledger, every
-  // later frequency re-prices from it — so parallelism shifts from
-  // points to columns. Record values are unchanged: replay is
-  // bit-identical to full simulation (BatchRepricer contract).
-  const std::vector<std::vector<std::size_t>> columns = group_columns(points);
-  const auto run_col = [&](std::size_t c) {
-    run_column(kernel, points, columns[c], ctx_of, records);
-  };
-  if (columns.size() <= 1 || pool_.max_threads() == 1) {
-    for (std::size_t c = 0; c < columns.size(); ++c) run_col(c);
-    return records;
+  // One task list for the whole batch, in request order. Frequency
+  // collapse makes each fast-path column one sequential task — its
+  // first cache-missing frequency simulates and records the ledger,
+  // every later frequency re-prices from it — so parallelism runs over
+  // columns there and over points elsewhere. Record values are
+  // unchanged: replay is bit-identical to full simulation
+  // (BatchRepricer contract).
+  std::vector<std::function<void()>> tasks;
+  for (Sweep& s : sweeps) {
+    if (fast_path_eligible(*s.kernel)) {
+      for (std::vector<std::size_t>& members : group_columns(s.points))
+        tasks.push_back([this, &s, members = std::move(members)] {
+          run_column(*s.kernel, s.points, members, s.ctx_of(), s.records);
+        });
+    } else {
+      for (std::size_t i = 0; i < s.points.size(); ++i)
+        tasks.push_back([this, &s, i] {
+          s.records[i] = *run_point(*s.kernel, s.points[i],
+                                    s.ctxs.empty() ? nullptr : &s.ctxs[i]);
+        });
+    }
+  }
+  if (tasks.size() <= 1 || pool_.max_threads() == 1) {
+    for (const std::function<void()>& task : tasks) task();
+    return;
   }
   std::vector<std::future<void>> done;
-  done.reserve(columns.size());
-  for (std::size_t c = 0; c < columns.size(); ++c)
-    done.push_back(pool_.submit([&run_col, c] { run_col(c); }));
+  done.reserve(tasks.size());
+  for (std::function<void()>& task : tasks)
+    done.push_back(pool_.submit(std::move(task)));
+  // Drain every future before rethrowing so no task still references
+  // the sweeps.
   std::exception_ptr first;
   for (std::future<void>& f : done) {
     try {
@@ -883,34 +864,55 @@ std::vector<RunRecord> SweepExecutor::run_points(
     }
   }
   if (first) std::rethrow_exception(first);
-  return records;
+}
+
+std::vector<RunRecord> SweepExecutor::run_points(
+    const npb::Kernel& kernel, const std::vector<Point>& points) {
+  std::vector<Sweep> batch(1);
+  batch[0].kernel = &kernel;
+  batch[0].points = points;
+  run_sweeps(batch);
+  return std::move(batch[0].records);
+}
+
+std::vector<MatrixResult> SweepExecutor::run_all(
+    const std::vector<SweepRequest>& requests) {
+  std::vector<Sweep> batch(requests.size());
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const SweepRequest& request = requests[r];
+    if (request.kernel == nullptr)
+      throw std::invalid_argument("SweepRequest.kernel must be set");
+    batch[r].kernel = request.kernel;
+    batch[r].points.reserve(request.node_counts.size() *
+                            request.freqs_mhz.size());
+    for (int n : request.node_counts) {
+      for (double f : request.freqs_mhz)
+        batch[r].points.push_back(Point{n, f, request.comm_dvfs_mhz});
+    }
+  }
+  run_sweeps(batch);
+
+  std::vector<MatrixResult> results(batch.size());
+  for (std::size_t r = 0; r < batch.size(); ++r) {
+    MatrixResult& result = results[r];
+    for (RunRecord& rec : batch[r].records) result.add(std::move(rec));
+    if (const auto failed = result.failed_points(); !failed.empty()) {
+      std::string detail;
+      for (const RunRecord* rec : failed)
+        detail += util::strf(" [N=%d f=%.0f: %s]", rec->nodes,
+                             rec->frequency_mhz, run_status_name(rec->status));
+      util::log_warn(util::strf(
+          "%s: %zu/%zu sweep points failed under fault injection;%s "
+          "excluded from the timing matrix",
+          batch[r].kernel->name().c_str(), failed.size(),
+          result.records.size(), detail.c_str()));
+    }
+  }
+  return results;
 }
 
 MatrixResult SweepExecutor::run(const SweepRequest& request) {
-  if (request.kernel == nullptr)
-    throw std::invalid_argument("SweepRequest.kernel must be set");
-  const npb::Kernel& kernel = *request.kernel;
-  std::vector<Point> points;
-  points.reserve(request.node_counts.size() * request.freqs_mhz.size());
-  for (int n : request.node_counts) {
-    for (double f : request.freqs_mhz)
-      points.push_back(Point{n, f, request.comm_dvfs_mhz});
-  }
-  std::vector<RunRecord> records = run_points(kernel, points);
-  MatrixResult result;
-  for (RunRecord& rec : records) result.add(std::move(rec));
-  if (const auto failed = result.failed_points(); !failed.empty()) {
-    std::string detail;
-    for (const RunRecord* r : failed)
-      detail += util::strf(" [N=%d f=%.0f: %s]", r->nodes, r->frequency_mhz,
-                           run_status_name(r->status));
-    util::log_warn(util::strf(
-        "%s: %zu/%zu sweep points failed under fault injection;%s excluded "
-        "from the timing matrix",
-        kernel.name().c_str(), failed.size(), result.records.size(),
-        detail.c_str()));
-  }
-  return result;
+  return std::move(run_all({request}).front());
 }
 
 MatrixResult SweepExecutor::run() {

@@ -45,6 +45,8 @@
 //   analysis::MatrixResult m = exec.run();   // the spec's own grid
 //   // or, for an explicit grid:
 //   analysis::MatrixResult m = exec.run({&kernel, nodes, freqs_mhz});
+//   // or, for several grids at once (one batch, --jobs N across all):
+//   std::vector<analysis::MatrixResult> ms = exec.run_all({ep, ft, lu});
 #pragma once
 
 #include <functional>
@@ -102,15 +104,23 @@ class SweepExecutor {
     double comm_dvfs_mhz = 0.0;
   };
 
-  /// Runs the request's grid concurrently and returns records in grid
-  /// order, bit-identical to the serial path.
+  /// Runs every request's grid as one batch and returns one result per
+  /// request, in request order, each with records in grid order and
+  /// bit-identical to the serial path. Every request's tasks (one per
+  /// fast-path column, one per point otherwise) share the pool, so
+  /// --jobs N keeps N tasks in flight across all the grids, not only
+  /// within one. Observer sweeps are registered in request order before
+  /// any task runs, so sweep ids never depend on scheduling.
   ///
   /// Fail-soft: a run aborted by fault injection or the deadlock
   /// watchdog is retried (`run_retries`, transient faults only) and
   /// then recorded with its failure status — the sweep continues.
   /// Non-fault exceptions (bad configuration, programming errors)
-  /// still propagate after all points drain. Logs a summary of failed
-  /// points, if any.
+  /// still propagate after all tasks drain. Logs a summary of failed
+  /// points per request, if any.
+  std::vector<MatrixResult> run_all(const std::vector<SweepRequest>& requests);
+
+  /// run_all of one request.
   MatrixResult run(const SweepRequest& request);
 
   /// Runs the spec's own grid: the document's kernel at its scale,
@@ -138,6 +148,22 @@ class SweepExecutor {
     int sweep = -1;
     int index = -1;
   };
+  /// One grid of a batch: its points, their observer coordinates
+  /// (empty when nothing observes) and the records being resolved.
+  struct Sweep {
+    const npb::Kernel* kernel = nullptr;
+    std::vector<Point> points;
+    std::vector<ObsCtx> ctxs;
+    std::vector<RunRecord> records;
+    const ObsCtx* ctx_of() const {
+      return ctxs.empty() ? nullptr : ctxs.data();
+    }
+  };
+  /// The one path every entry point runs: registers each sweep with
+  /// the observer in order, then resolves all their points as a single
+  /// task list drained once (or, under --isolate, sweep by sweep on
+  /// the calling thread).
+  void run_sweeps(std::vector<Sweep>& sweeps);
   /// Resolves a point the journal and the record cache both miss:
   /// returns its record, or nullopt to defer the point to its column's
   /// batched replay. Receives the point's key.

@@ -52,35 +52,50 @@ void run_slice(std::uint64_t seed, std::uint64_t first, std::uint64_t count,
 
 /// A slice's accumulator is a pure function of (seed, first, count),
 /// and the identical slice recurs at every (N, f) point of a sweep
-/// that keeps N fixed — cache it the way reference() caches the
-/// sequential run. Values are immutable once inserted (std::map nodes
-/// are stable), so returned references stay valid without the lock.
-/// The caller still issues its per-batch charges: virtual time is
-/// priced the same whether the trials were replayed or recalled.
+/// that keeps N fixed, so it is computed once per process and
+/// recalled afterwards. Each map node carries a once_flag: the first
+/// thread to miss a key computes it, and any thread that asks while
+/// it does waits for that result instead of computing it again (the
+/// concurrent columns of one sweep ask for the same chunks at the same
+/// moment). Map nodes are stable, so returned references stay valid
+/// without the lock. The caller still issues its per-batch charges:
+/// virtual time is priced the same whether the trials were replayed
+/// or recalled.
 /// Slices above this size are composed from boundary-aligned sub-chunk
 /// accumulators, so the block distributions of *different* rank counts
 /// share one set of cached chunks (rank boundaries at any N ≥ 1 are
 /// chunk-aligned whenever the problem is, which the paper-scale 2^24
 /// grid is at every N in the sweep) — a sweep then prices the trial
-/// stream once, not once per N. Gated well above the golden-test
-/// configurations (2^12/2^14 pairs): small slices still accumulate
-/// left-to-right in one pass, bit-identical to the original code.
+/// stream once, not once per N. A composite waits only on chunks no
+/// larger than this, and a chunk waits on nothing, so no wait cycle
+/// can form. Gated well above the golden-test configurations
+/// (2^12/2^14 pairs): small slices still accumulate left-to-right in
+/// one pass, bit-identical to the original code.
 constexpr std::uint64_t kChunkPairs = std::uint64_t{1} << 20;
+
+struct CachedSlice {
+  std::once_flag computed;
+  Accumulator acc;
+};
 
 const Accumulator& cached_slice(std::uint64_t seed, std::uint64_t first,
                                 std::uint64_t count) {
   static std::mutex mutex;
   static std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
-                  Accumulator>
+                  CachedSlice>
       cache;
-  const auto key = std::make_tuple(seed, first, count);
+  CachedSlice* slice = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex);
-    auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
+    slice = &cache.try_emplace(std::make_tuple(seed, first, count))
+                 .first->second;
   }
-  Accumulator acc;
-  if (count > kChunkPairs) {
+  std::call_once(slice->computed, [&] {
+    Accumulator& acc = slice->acc;
+    if (count <= kChunkPairs) {
+      run_slice(seed, first, count, acc);
+      return;
+    }
     // Compose from aligned chunks, ascending. accepted and q[] are
     // integer counts far below 2^53 — exact under any association; the
     // deviate sums sx/sy reassociate, which run()'s verification
@@ -98,11 +113,8 @@ const Accumulator& cached_slice(std::uint64_t seed, std::uint64_t first,
       for (int i = 0; i < 10; ++i) acc.q[i] += part.q[i];
       pos += n;
     }
-  } else {
-    run_slice(seed, first, count, acc);
-  }
-  std::lock_guard<std::mutex> lock(mutex);
-  return cache.emplace(key, acc).first->second;
+  });
+  return slice->acc;
 }
 
 }  // namespace
@@ -116,24 +128,15 @@ std::string EpKernel::signature() const {
 }
 
 EpKernel::Reference EpKernel::reference(const EpConfig& cfg) {
-  // The sequential reference is as expensive as the whole run; cache it
-  // per configuration so sweeps pay it once.
-  static std::mutex mutex;
-  static std::map<std::pair<std::uint64_t, int>, Reference> cache;
-  const std::pair<std::uint64_t, int> key{cfg.seed, cfg.log2_pairs};
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-  }
+  // The sequential reference is the whole stream as one slice: the
+  // slice cache computes it once per configuration, so sweeps pay it
+  // once.
   const Accumulator& acc = cached_slice(cfg.seed, 0, cfg.pairs());
   Reference ref;
   ref.sx = acc.sx;
   ref.sy = acc.sy;
   ref.accepted = acc.accepted;
   for (int i = 0; i < 10; ++i) ref.q[i] = acc.q[i];
-  std::lock_guard<std::mutex> lock(mutex);
-  cache.emplace(key, ref);
   return ref;
 }
 

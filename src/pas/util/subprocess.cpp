@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/eventfd.h>
+#include <sys/prctl.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -192,6 +193,7 @@ void Subprocess::Handle::kill(int sig) const {
 
 Subprocess::Handle Subprocess::spawn(std::function<int()> body) {
   Handle h;
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     h.reaped_ = true;
@@ -199,6 +201,12 @@ Subprocess::Handle Subprocess::spawn(std::function<int()> body) {
     return h;
   }
   if (pid == 0) {
+    // Die with the forking thread: a SIGKILLed supervisor must not leave
+    // its children running unsupervised. A parent that died before the
+    // prctl already re-parented this child, so check once by hand and
+    // die the same way.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::raise(SIGKILL);
     int code = 125;
     try {
       code = body();

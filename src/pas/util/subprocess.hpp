@@ -18,6 +18,13 @@
 // that holds no locks shared with running threads — the column
 // supervisor forks only on the one thread that drives it.
 //
+// A child dies with its parent: spawn sets PR_SET_PDEATHSIG to SIGKILL,
+// so a SIGKILLed supervisor leaves no worker simulating on. The signal
+// follows the forking *thread*, not the process: a thread that exits
+// while its children run kills them too. Both callers keep that thread
+// alive until their children are reaped — pasim_serve's scheduler
+// thread and the thread that called an --isolate sweep.
+//
 // Waiting is exit-driven: each child comes with a pidfd that turns
 // readable the instant it exits, and wait_any() sleeps on any number
 // of them plus a Wakeup doorbell until the first of an exit, a

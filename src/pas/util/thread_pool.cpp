@@ -31,9 +31,9 @@ void ThreadPool::post(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
-    // Spawn only when nobody is free to pick the task up; blocked-task
-    // batches that need one worker per task use ensure_workers.
-    if (idle_ == 0 && static_cast<int>(workers_.size()) < max_threads_)
+    // Every queued task gets a worker of its own, spawned or idle.
+    while (static_cast<int>(queue_.size()) > idle_ &&
+           static_cast<int>(workers_.size()) < max_threads_)
       spawn_worker_locked();
   }
   cv_.notify_one();
@@ -41,8 +41,9 @@ void ThreadPool::post(std::function<void()> task) {
 
 void ThreadPool::spawn_worker_locked() {
   // Counted idle from birth: the new worker is committed to reaching
-  // the wait loop, so posts racing with its startup must not conclude
-  // "nobody is free" and spawn redundant threads.
+  // the wait loop and taking one queued task, so the spawn rule in
+  // post() counts it against that task and spawns no second worker
+  // for it.
   ++idle_;
   workers_.emplace_back([this] { worker_loop(); });
 }

@@ -1,10 +1,13 @@
 // Fixed-capacity worker pool with a shared work queue and futures.
 //
-// Workers are spawned lazily (submitting never creates more than
-// `max_threads` OS threads) and reused until destruction — the point is
-// to amortize thread creation across many short tasks, e.g. the rank
-// bodies of successive simulated runs (pas/mpi/runtime.cpp) or the grid
-// points of a parallel sweep (pas/analysis/sweep_executor.cpp).
+// Workers are spawned lazily and reused until destruction — the point
+// is to amortize thread creation across many short tasks, e.g. the rank
+// bodies of successive simulated runs (pas/mpi/runtime.cpp) or the
+// column tasks of a parallel sweep (pas/analysis/sweep_executor.cpp).
+// The spawn rule: submitting spawns a worker while queued tasks
+// outnumber idle workers, up to `max_threads`. A freshly spawned worker
+// counts as idle until it dequeues, so a burst of k submissions gets
+// min(k, max_threads) workers at once.
 //
 // Cooperating tasks that block on *each other* (the rank bodies of one
 // simulated run rendezvous through mailboxes) must each hold a worker

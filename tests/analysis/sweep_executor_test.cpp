@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <initializer_list>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -135,6 +136,54 @@ TEST(BatchedSweep, CommDvfsColumnsMatchSerialAtJobsEight) {
   ASSERT_EQ(got.records.size(), want.records.size());
   for (std::size_t i = 0; i < want.records.size(); ++i)
     expect_identical(got.records[i], want.records[i]);
+}
+
+// run_all drains every request's tasks as one batch; each result must
+// equal a run() of its request alone, byte for byte, at any --jobs — on
+// the column-task path (clean) and the point-task path (faults armed
+// turn the fast path off). Sweep ids follow request order.
+TEST(SweepExecutor, RunAllMatchesPerRequestRuns) {
+  const std::vector<int> nodes{1, 2, 4};
+  const std::vector<double> freqs{600, 1000, 1400};
+  std::vector<std::unique_ptr<npb::Kernel>> kernels;
+  for (const char* name : {"EP", "FT", "LU"})
+    kernels.push_back(make_kernel(name, Scale::kSmall));
+  const auto encode = [](const MatrixResult& m) {
+    std::string bytes;
+    for (const RunRecord& rec : m.records)
+      bytes += RunCache::encode_record(rec);
+    return bytes;
+  };
+  for (const bool faulty : {false, true}) {
+    SCOPED_TRACE(faulty ? "faults armed" : "clean");
+    auto cfg = sim::ClusterConfig::paper_testbed(4);
+    if (faulty) cfg.fault = fault::FaultConfig::scaled(0.05, 3);
+    std::vector<SweepRequest> requests;
+    std::vector<std::string> want;
+    SweepExecutor single(make_spec(cfg, jobs(1)));
+    for (const auto& kernel : kernels) {
+      requests.push_back({kernel.get(), nodes, freqs});
+      want.push_back(encode(single.run(requests.back())));
+    }
+    for (const int n : {1, 4}) {
+      SCOPED_TRACE(n);
+      SweepSpec spec = make_spec(cfg, jobs(n));
+      spec.observer = std::make_shared<obs::Observer>(obs::ObsOptions{});
+      SweepExecutor batch(spec);
+      const std::vector<MatrixResult> got = batch.run_all(requests);
+      ASSERT_EQ(got.size(), requests.size());
+      for (std::size_t r = 0; r < requests.size(); ++r)
+        EXPECT_EQ(encode(got[r]), want[r]) << requests[r].kernel->name();
+      const std::vector<obs::Observer::SweepScope> sweeps =
+          spec.observer->sweeps();
+      ASSERT_EQ(sweeps.size(), requests.size());
+      for (std::size_t r = 0; r < requests.size(); ++r) {
+        EXPECT_EQ(sweeps[r].kernel, requests[r].kernel->name());
+        for (const obs::Observer::PointSlot& slot : sweeps[r].slots)
+          EXPECT_TRUE(slot.have_point);
+      }
+    }
+  }
 }
 
 TEST(SweepExecutor, CommDvfsSweepMatchesSerial) {

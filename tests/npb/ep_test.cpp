@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "pas/analysis/sweep_executor.hpp"
 #include "pas/mpi/runtime.hpp"
 #include "pas/util/format.hpp"
 
@@ -36,6 +39,47 @@ INSTANTIATE_TEST_SUITE_P(RankCounts, EpRanks, ::testing::Values(2, 3, 4, 8, 16))
 TEST_P(EpRanks, ParallelMatchesSequentialReference) {
   const KernelResult r = run_ep(GetParam(), 1000, small_ep());
   EXPECT_TRUE(r.verified) << r.note;
+}
+
+// Concurrent columns ask the slice cache for the same chunks at the
+// same moment, and each must get the chunk's one result. 2^22 pairs
+// span four 2^20 chunks, and no other test uses this seed, so every
+// chunk is cold when the four columns start together.
+TEST(Ep, ConcurrentColumnsShareChunks) {
+  EpConfig cfg;
+  cfg.log2_pairs = 22;
+  cfg.seed = 161803399ULL;
+  const EpKernel kernel(cfg);
+  const std::vector<int> nodes{1, 2, 4, 8};
+  analysis::SweepSpec spec;
+  spec.cluster = sim::ClusterConfig::paper_testbed(8);
+  spec.options.jobs = 4;
+  spec.options.use_cache = false;
+  analysis::SweepExecutor executor(spec);
+  const analysis::MatrixResult m = executor.run({&kernel, nodes, {600}});
+  ASSERT_EQ(m.records.size(), nodes.size());
+  for (const analysis::RunRecord& rec : m.records)
+    EXPECT_TRUE(rec.verified) << "N=" << rec.nodes;
+
+  // The N=1 sums are the sequential reference; every wider N reads the
+  // same counts, and the same deviate sums up to reassociation.
+  const KernelResult one = run_ep(1, 600, cfg);
+  const EpKernel::Reference ref = EpKernel::reference(cfg);
+  EXPECT_EQ(one.value("sx"), ref.sx);
+  EXPECT_EQ(one.value("sy"), ref.sy);
+  const double tol = 1e-8 * ref.accepted;
+  for (const int n : nodes) {
+    SCOPED_TRACE(n);
+    const KernelResult r = run_ep(n, 600, cfg);
+    EXPECT_TRUE(r.verified) << r.note;
+    EXPECT_EQ(r.value("accepted"), one.value("accepted"));
+    for (int i = 0; i < 10; ++i) {
+      const std::string q = pas::util::strf("q%d", i);
+      EXPECT_EQ(r.value(q), one.value(q)) << q;
+    }
+    EXPECT_NEAR(r.value("sx"), one.value("sx"), tol);
+    EXPECT_NEAR(r.value("sy"), one.value("sy"), tol);
+  }
 }
 
 TEST(Ep, AnnulusCountsSumToAccepted) {

@@ -1,6 +1,9 @@
 #include "pas/util/subprocess.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <csignal>
@@ -121,6 +124,53 @@ TEST(Subprocess, WakeupInterruptsAWaitAndCoalesces) {
   t0 = std::chrono::steady_clock::now();
   Subprocess::wait_any({}, 0.05, &bell);
   EXPECT_GE(seconds_since(t0), 0.04);
+}
+
+// A spawned child dies with its parent. A helper process (so this
+// process keeps its own attributes) becomes a subreaper, forks an
+// intermediate that spawns a 60 s sleeper and reports its pid, then
+// SIGKILLs the intermediate: the orphaned sleeper, re-parented to the
+// helper, must be reaped within 5 s, killed by SIGKILL.
+TEST(Subprocess, ChildDiesWithItsParent) {
+  const Subprocess::Result res = Subprocess::call([]() -> int {
+    if (::prctl(PR_SET_CHILD_SUBREAPER, 1) != 0) return 10;
+    int fds[2];
+    if (::pipe(fds) != 0) return 11;
+    const pid_t mid = ::fork();
+    if (mid < 0) return 12;
+    if (mid == 0) {
+      ::close(fds[0]);
+      Subprocess::Handle sleeper = Subprocess::spawn([] {
+        std::this_thread::sleep_for(std::chrono::seconds(60));
+        return 0;
+      });
+      const pid_t pid = sleeper.pid();
+      if (::write(fds[1], &pid, sizeof pid) != sizeof pid) _exit(1);
+      for (;;) ::pause();
+    }
+    ::close(fds[1]);
+    pid_t sleeper = -1;
+    const bool told = ::read(fds[0], &sleeper, sizeof sleeper) ==
+                          static_cast<ssize_t>(sizeof sleeper) &&
+                      sleeper > 0;
+    ::kill(mid, SIGKILL);
+    ::waitpid(mid, nullptr, 0);
+    if (!told) return 13;
+    // Re-parenting is asynchronous: until it lands, waitpid says ECHILD.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    int status = 0;
+    while (::waitpid(sleeper, &status, WNOHANG) != sleeper) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        ::kill(sleeper, SIGKILL);
+        ::waitpid(sleeper, nullptr, 0);
+        return 14;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL ? 0 : 15;
+  }, 30.0);
+  EXPECT_TRUE(res.ok()) << res.describe();
 }
 
 TEST(Subprocess, PollIsNonBlockingAndConverges) {

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -96,6 +98,29 @@ TEST(ThreadPool, NestedSubmissionCompletesWithSpareWorker) {
     return inner.get() + 1;
   });
   EXPECT_EQ(outer.get(), 12);
+}
+
+// A burst of independent submissions gets one worker per task, up to
+// max_threads, without ensure_workers: every task here blocks until all
+// four have started, which only happens if four workers run at once.
+TEST(ThreadPool, BurstOfBlockingTasksGetsOneWorkerEach) {
+  constexpr int kTasks = 4;
+  ThreadPool pool(kTasks);
+  std::mutex mutex;
+  std::condition_variable cv;
+  int started = 0;
+  std::vector<std::future<int>> futures;
+  for (int i = 0; i < kTasks; ++i)
+    futures.push_back(pool.submit([&] {
+      std::unique_lock<std::mutex> lock(mutex);
+      ++started;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(5),
+                  [&] { return started == kTasks; });
+      return started;
+    }));
+  for (auto& f : futures) EXPECT_EQ(f.get(), kTasks);
+  EXPECT_EQ(pool.spawned(), kTasks);
 }
 
 TEST(ThreadPool, DestructionWithNoTasksIsClean) {
