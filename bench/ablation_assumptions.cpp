@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
   // RunMatrix bench: only the document half of the spec applies (no
   // executor, so no cache/jobs flags).
   cli.check_usage({"spec", "small", "nodes", "freqs"});
-  analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
-  spec.kernel = "FT";
+  const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli, "FT");
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
   const auto ft = analysis::make_spec_kernel(spec);
 

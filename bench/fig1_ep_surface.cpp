@@ -21,9 +21,8 @@ int main(int argc, char** argv) {
   known.push_back("csv");
   cli.check_usage(known);
   // --spec FILE seeds the sweep document; flags override. This bench
-  // IS the EP figure, so the kernel is pinned after the merge.
-  analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
-  spec.kernel = "EP";
+  // IS the EP figure, so from_cli pins the kernel after the merge.
+  const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli, "EP");
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
   analysis::SweepExecutor executor(spec);
   const analysis::MatrixResult measured = executor.run();

@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   auto known = analysis::SweepSpec::cli_option_names();
   known.push_back("csv");
   cli.check_usage(known);
-  analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
-  spec.kernel = "FT";
+  const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli, "FT");
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
   analysis::SweepExecutor executor(spec);
   const analysis::MatrixResult measured = executor.run();

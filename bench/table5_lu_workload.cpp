@@ -15,8 +15,7 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   // Counter bench: only the document half of the spec applies.
   cli.check_usage({"spec", "small", "nodes", "freqs", "csv"});
-  analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
-  spec.kernel = "LU";
+  const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli, "LU");
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
   const auto lu = analysis::make_spec_kernel(spec);
 

@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   auto known = analysis::SweepSpec::cli_option_names();
   known.push_back("csv");
   cli.check_usage(known);
-  analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
-  spec.kernel = "LU";
+  analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli, "LU");
   // The paper's Table 7 stops at 8 nodes (--nodes still overrides).
   if (spec.nodes.empty() && spec.resolved_scale() == analysis::Scale::kPaper)
     spec.nodes = {1, 2, 4, 8};

@@ -18,9 +18,10 @@ int main(int argc, char** argv) {
   using namespace pas;
   const util::Cli cli(argc, argv);
   cli.check_usage({"spec", "kernel", "small", "nodes", "freqs", "objective"});
-  analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
   // Historical default kernel for this example is FT.
-  if (!cli.has("spec") && !cli.has("kernel")) spec.kernel = "FT";
+  const bool named = cli.has("spec") || cli.has("kernel");
+  const analysis::SweepSpec spec =
+      analysis::SweepSpec::from_cli(cli, named ? nullptr : "FT");
   const std::string name = spec.kernel;
   const std::string objective_arg = cli.get("objective", "edp");
 

@@ -22,10 +22,11 @@ int main(int argc, char** argv) {
   using namespace pas;
   const util::Cli cli(argc, argv);
   cli.check_usage(analysis::SweepSpec::cli_option_names());
-  analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
   // Historical defaults: LU over a trimmed grid (the spec-document
   // defaults are EP over the full scale grid).
-  if (!cli.has("spec") && !cli.has("kernel")) spec.kernel = "LU";
+  const bool named = cli.has("spec") || cli.has("kernel");
+  analysis::SweepSpec spec =
+      analysis::SweepSpec::from_cli(cli, named ? nullptr : "LU");
   if (spec.nodes.empty()) spec.nodes = {1, 2, 4, 8};
   if (spec.freqs_mhz.empty()) spec.freqs_mhz = {600, 1000, 1400};
   const std::string name = spec.kernel;

@@ -17,10 +17,11 @@ int main(int argc, char** argv) {
   using namespace pas;
   const util::Cli cli(argc, argv);
   cli.check_usage({"spec", "kernel", "small", "nodes", "freqs"});
-  analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
   // Historical default: the tour uses FT unless a spec or flag says
   // otherwise (the spec-document default is EP).
-  if (!cli.has("spec") && !cli.has("kernel")) spec.kernel = "FT";
+  const bool named = cli.has("spec") || cli.has("kernel");
+  const analysis::SweepSpec spec =
+      analysis::SweepSpec::from_cli(cli, named ? nullptr : "FT");
   const std::string name = spec.kernel;
 
   // 1. The simulated testbed: 16 Pentium-M nodes, five DVFS points,

@@ -17,9 +17,10 @@ int main(int argc, char** argv) {
   cli.check_usage(
       {"spec", "kernel", "small", "nodes", "freq", "freqs", "comm-dvfs",
        "out"});
-  analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
   // Historical defaults: FT at the small scale, one 4-node point.
-  if (!cli.has("spec") && !cli.has("kernel")) spec.kernel = "FT";
+  const bool named = cli.has("spec") || cli.has("kernel");
+  analysis::SweepSpec spec =
+      analysis::SweepSpec::from_cli(cli, named ? nullptr : "FT");
   if (!cli.has("spec") && !cli.has("small")) spec.scale = "small";
   const std::string name = spec.kernel;
   const int nodes = spec.nodes.empty() ? 4 : spec.nodes.back();

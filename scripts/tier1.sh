@@ -118,7 +118,45 @@ cmp "$REPLAY_DIR/cold.csv" "$REPLAY_DIR/warm.csv"
   > "$REPLAY_DIR/jobs8.out"
 cmp "$REPLAY_DIR/cold.out" "$REPLAY_DIR/jobs8.out"
 cmp "$REPLAY_DIR/cold.csv" "$REPLAY_DIR/jobs8.csv"
-echo "frequency-collapse replay OK (cold/warm/--jobs 8 byte-identical)"
+# The same three legs with faults armed: fault-armed columns take the
+# fast path too (each replayed lane re-draws its own fault streams), so
+# the cold run records one ledger per column.
+FAULTS=(--faults 0.05 --fault-seed 3)
+./build/bench/fig2_ft_surface --small --jobs 2 "${FAULTS[@]}" \
+  --cache "$REPLAY_DIR/fcache" --csv "$REPLAY_DIR/fcold.csv" \
+  > "$REPLAY_DIR/fcold.out"
+ledgers="$(find "$REPLAY_DIR/fcache" -name '*.ledger' | wc -l)"
+[ "$ledgers" -eq 3 ] || {
+  echo "fault-armed cold run left $ledgers ledgers, expected 3"; exit 1; }
+rm -f "$REPLAY_DIR/fcache/"*.run
+./build/bench/fig2_ft_surface --small --jobs 2 "${FAULTS[@]}" \
+  --verify-replay --cache "$REPLAY_DIR/fcache" \
+  --csv "$REPLAY_DIR/fwarm.csv" > "$REPLAY_DIR/fwarm.out"
+cmp "$REPLAY_DIR/fcold.out" "$REPLAY_DIR/fwarm.out"
+cmp "$REPLAY_DIR/fcold.csv" "$REPLAY_DIR/fwarm.csv"
+./build/bench/fig2_ft_surface --small --jobs 8 "${FAULTS[@]}" \
+  --verify-replay --cache "$REPLAY_DIR/fcache8" \
+  --csv "$REPLAY_DIR/fjobs8.csv" > "$REPLAY_DIR/fjobs8.out"
+cmp "$REPLAY_DIR/fcold.out" "$REPLAY_DIR/fjobs8.out"
+cmp "$REPLAY_DIR/fcold.csv" "$REPLAY_DIR/fjobs8.csv"
+# A fault block that splits columns: the fast 1400 MHz heads survive,
+# and tail lanes whose node dies before they finish fall back to full
+# simulation (with retries). A --jobs 8 --verify-replay run must match
+# the uncached --jobs 1 run, and fewer points than the 6 column-tail
+# lanes may count as repriced.
+SPLIT=specs/ft_fault_split_small.json
+./build/bench/fig2_ft_surface --spec "$SPLIT" --jobs 1 --no-cache \
+  --csv "$REPLAY_DIR/split1.csv" > "$REPLAY_DIR/split1.out"
+./build/bench/fig2_ft_surface --spec "$SPLIT" --jobs 8 --verify-replay \
+  --cache "$REPLAY_DIR/split_cache" --csv "$REPLAY_DIR/split8.csv" \
+  --metrics "$REPLAY_DIR/split_obs" > "$REPLAY_DIR/split8.out"
+cmp "$REPLAY_DIR/split1.csv" "$REPLAY_DIR/split8.csv"
+awk -F, '$1 == "sweep.points_repriced" { seen = 1; v = $4 }
+  END { exit !(seen && v + 0 < 6) }' "$REPLAY_DIR/split_obs/metrics.csv" || {
+  echo "the fault-split spec repriced every tail lane: no fallback ran"
+  exit 1; }
+echo "frequency-collapse replay OK (cold/warm/--jobs 8 byte-identical," \
+  "clean and fault-armed; aborting lanes fall back)"
 
 echo "== tier 1: sampled estimation + checkpoint warm-starts =="
 # DESIGN.md §14, on the axis replay cannot collapse (node count
@@ -322,7 +360,25 @@ fi
   --no-cache --csv "$SERVE_DIR/spec.csv" > "$SERVE_DIR/spec.out"
 cmp "$SERVE_DIR/flags.out" "$SERVE_DIR/spec.out"
 cmp "$SERVE_DIR/flags.csv" "$SERVE_DIR/spec.csv"
-echo "spec schema + --spec equivalence OK"
+# A spec or flag value the sweep rejects is a usage error: the binary's
+# name and the reason on stderr, exit status 2 — not an abort.
+usage_error() {
+  local bin="$1"; shift
+  set +e
+  "$ROOT/build/bench/$bin" "$@" >/dev/null 2>"$SERVE_DIR/usage.err"
+  local rc=$?
+  set -e
+  if [ "$rc" -ne 2 ] || ! grep -q "^$ROOT/build/bench/$bin: " \
+      "$SERVE_DIR/usage.err"; then
+    echo "$bin $*: expected a usage error (exit 2), got rc=$rc:"
+    cat "$SERVE_DIR/usage.err"; exit 1
+  fi
+}
+usage_error fig1_ep_surface --small --iterations 48
+usage_error full_report --small --iterations 48 --out "$SERVE_DIR/usage_out"
+usage_error fig2_ft_surface --small --nodes ,
+usage_error fig2_ft_surface --small --retries -1
+echo "spec schema + --spec equivalence + usage errors OK"
 
 echo "== tier 1: serve (cold / warm / concurrent vs offline) =="
 # A pasim_serve broker answering pasim_client submissions must return

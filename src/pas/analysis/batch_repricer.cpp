@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "pas/analysis/replay_detail.hpp"
+#include "pas/fault/fault.hpp"
 #include "pas/mpi/communicator.hpp"
+#include "pas/obs/metrics.hpp"
 #include "pas/sim/network.hpp"
 #include "pas/util/format.hpp"
 
@@ -19,17 +23,30 @@ using detail::channel_key;
 
 constexpr std::size_t kActs = sim::kNumActivities;
 
+/// flight_at_switch of a message its sender never posted in that lane
+/// (the sender had already stopped): a receive that matches it blocks
+/// forever, as the simulator's mailbox would.
+constexpr double kLost = std::numeric_limits<double>::infinity();
+
 /// Per-lane (operating-point) constants, resolved once per reprice.
-/// f_hz and sec_per_mem reproduce CpuModel::frequency_hz() and
-/// CpuModel::seconds_per_mem_op() at perf_scale 1.0 (replay never runs
-/// with faults armed): the * 1.0 and / 1.0 are bit-exact identities,
-/// so hoisting them per lane changes nothing.
+/// The clock rates every rank of the lane runs at live per (rank, lane)
+/// in reprice(), because a straggler rank scales them.
 struct LaneConst {
   double in_mhz = 0.0;   ///< the caller's frequency, echoed into records
   double app_mhz = 0.0;  ///< nominal table frequency (current().frequency_mhz())
   long fkey_app = 0;
-  double f_hz = 0.0;
-  double sec_per_mem = 0.0;
+  double nominal_hz = 0.0;  ///< the operating point's own frequency_hz
+};
+
+/// One lane's fault outcome: the run's abort as Runtime::pick_error
+/// reports it (the lowest rank that threw) and the injected faults a
+/// priced lane reports.
+struct LaneFaults {
+  RunStatus status = RunStatus::kOk;
+  int fail_rank = 0;
+  std::string error;
+  std::uint64_t drops = 0;
+  std::uint64_t delays = 0;
 };
 
 /// Frequency-invariant per-rank replay state, shared by all lanes: the
@@ -44,9 +61,9 @@ struct RankShared {
   bool in_phase = false;
   double comm_raw_mhz = 0.0;  ///< last kCommDvfs value (0 = disabled)
   /// Comm operating point of the active phase (valid while any lane is
-  /// switched): nominal frequency, its fkey, clock rate and activity
-  /// slot. Lane-invariant because the comm point is a property of the
-  /// run, not of the lane.
+  /// switched): nominal frequency, its fkey, this rank's clock rate
+  /// there (straggler scale applied) and activity slot. Lane-invariant
+  /// because the comm point is a property of the run, not of the lane.
   double comm_nominal_mhz = 0.0;
   long comm_fkey = 0;
   double comm_f_hz = 0.0;
@@ -82,6 +99,11 @@ std::vector<RunRecord> BatchRepricer::reprice(
   const sim::NetworkConfig& net = cluster_.network;
   const sim::CpuModel cpu(cluster_.cpu, cluster_.memory,
                           cluster_.operating_points);
+  // The plan every lane's full simulation would draw at its first
+  // attempt: per-rank straggler speed and failure time, and one fault
+  // stream per rank that each lane re-draws on its own (below).
+  const fault::FaultPlan plan(cluster_.fault, n, /*attempt=*/0);
+  const bool faulty = plan.active();
 
   std::vector<LaneConst> lane(F);
   for (std::size_t l = 0; l < F; ++l) {
@@ -92,8 +114,7 @@ std::vector<RunRecord> BatchRepricer::reprice(
     lane[l].in_mhz = freqs_mhz[l];
     lane[l].app_mhz = op.frequency_mhz();
     lane[l].fkey_app = sim::NodeState::fkey(lane[l].app_mhz);
-    lane[l].f_hz = op.frequency_hz * 1.0;
-    lane[l].sec_per_mem = cluster_.memory.dram_latency(lane[l].f_hz) / 1.0;
+    lane[l].nominal_hz = op.frequency_hz;
   }
 
   // Activity slots: slot 0 is the lane's own (app) operating point;
@@ -131,9 +152,54 @@ std::vector<RunRecord> BatchRepricer::reprice(
   std::vector<double> cur_fhz(NL, 0.0);
   std::vector<int> cur_slot(NL, 0);
   std::vector<unsigned char> switched(NL, 0);
-  for (int r = 0; r < n; ++r)
-    for (std::size_t l = 0; l < F; ++l)
-      cur_fhz[static_cast<std::size_t>(r) * F + l] = lane[l].f_hz;
+  // App-point clock rate and seconds per OFF-chip op of each rank in
+  // each lane: CpuModel::frequency_hz() and seconds_per_mem_op() under
+  // the rank's straggler scale (1.0 on a healthy rank, where the * and
+  // / are bit-exact identities).
+  std::vector<double> app_fhz(NL, 0.0);
+  std::vector<double> app_spm(NL, 0.0);
+  for (int r = 0; r < n; ++r) {
+    const double speed = plan.speed_factor(r);
+    for (std::size_t l = 0; l < F; ++l) {
+      const std::size_t idx = static_cast<std::size_t>(r) * F + l;
+      app_fhz[idx] = lane[l].nominal_hz * speed;
+      app_spm[idx] = cluster_.memory.dram_latency(app_fhz[idx]) / speed;
+      cur_fhz[idx] = app_fhz[idx];
+    }
+  }
+
+  // Fault state, per (rank, lane), sized only with faults armed. Each
+  // lane re-draws its rank's stream from the seed in that rank's
+  // program order, exactly as the lane's own simulation would — streams
+  // diverge across lanes because jitter draws only where a lane
+  // switches operating points. A stopped rank threw (or blocks forever
+  // on a message its stopped sender never posted) and does nothing more
+  // in that lane.
+  std::vector<fault::RankFaults> faults;
+  std::vector<std::uint64_t> retried(faulty ? NL : 0, 0);
+  std::vector<unsigned char> stopped(faulty ? NL : 0, 0);
+  std::vector<LaneFaults> lane_faults(faulty ? F : 0);
+  if (faulty) {
+    faults.reserve(NL);
+    for (int r = 0; r < n; ++r)
+      for (std::size_t l = 0; l < F; ++l) faults.push_back(plan.rank_faults(r));
+  }
+  const auto stop = [&](int r, std::size_t l, RunStatus status,
+                        const char* error) {
+    stopped[static_cast<std::size_t>(r) * F + l] = 1;
+    LaneFaults& lf = lane_faults[l];
+    if (lf.status != RunStatus::kOk && r >= lf.fail_rank) return;
+    lf.status = status;
+    lf.fail_rank = r;
+    lf.error = error;
+  };
+  /// Comm's faults_.check_alive after a clock advance.
+  const auto check_alive = [&](int r, std::size_t l, std::size_t idx) {
+    const fault::RankFaults& f = faults[idx];
+    if (f.alive_at(now[idx])) return;
+    stop(r, l, RunStatus::kNodeFailure,
+         fault::NodeFailedError(r, f.fail_time_s()).what());
+  };
 
   std::vector<RankShared> rank(static_cast<std::size_t>(n));
 
@@ -163,10 +229,16 @@ std::vector<RunRecord> BatchRepricer::reprice(
     spend(idx, slot, t - now[idx], act);
   };
 
-  /// Mirrors Comm::enter_comm_phase (fault jitter is zero: ledgers are
-  /// only recorded with faults disarmed). The phase flag flips once
+  /// DVFS-transition latency plus the lane's jitter draw, as Comm
+  /// charges it (the draw is 0 with faults disarmed).
+  const auto transition_s = [&](std::size_t idx) {
+    return cluster_.dvfs_transition_s +
+           (faulty ? faults[idx].draw_dvfs_jitter() : 0.0);
+  };
+
+  /// Mirrors Comm::enter_comm_phase. The phase flag flips once
   /// (shared); whether a lane switches points — and therefore pays the
-  /// transition — depends on its own fkey.
+  /// transition and draws its jitter — depends on its own fkey.
   const auto enter_comm_phase = [&](int r) {
     RankShared& rs = rank[static_cast<std::size_t>(r)];
     if (rs.comm_raw_mhz <= 0.0 || rs.in_phase) return;
@@ -175,6 +247,8 @@ std::vector<RunRecord> BatchRepricer::reprice(
     bool resolved = false;
     for (std::size_t l = 0; l < F; ++l) {
       if (lane[l].fkey_app == fkey_raw) continue;  // already at the point
+      const std::size_t idx = static_cast<std::size_t>(r) * F + l;
+      if (faulty && stopped[idx]) continue;
       if (!resolved) {
         // Resolved lazily — only a switching lane consults the table,
         // exactly when the simulator's set_frequency_mhz would.
@@ -182,7 +256,7 @@ std::vector<RunRecord> BatchRepricer::reprice(
             cluster_.operating_points.at_mhz(rs.comm_raw_mhz);
         rs.comm_nominal_mhz = cop.frequency_mhz();
         rs.comm_fkey = sim::NodeState::fkey(rs.comm_nominal_mhz);
-        rs.comm_f_hz = cop.frequency_hz * 1.0;
+        rs.comm_f_hz = cop.frequency_hz * plan.speed_factor(r);
         const auto [it, inserted] =
             slot_of_fkey.emplace(rs.comm_fkey, slots_in_use);
         if (inserted) {
@@ -192,10 +266,9 @@ std::vector<RunRecord> BatchRepricer::reprice(
         rs.comm_slot = it->second;
         resolved = true;
       }
-      const std::size_t idx = static_cast<std::size_t>(r) * F + l;
       // Transition charged before the switch: attributed at the app
       // point, like Comm::enter_comm_phase.
-      spend(idx, 0, cluster_.dvfs_transition_s, sim::Activity::kCpu);
+      spend(idx, 0, transition_s(idx), sim::Activity::kCpu);
       cur_fhz[idx] = rs.comm_f_hz;
       cur_slot[idx] = rs.comm_slot;
       switched[idx] = 1;
@@ -212,14 +285,14 @@ std::vector<RunRecord> BatchRepricer::reprice(
     rs.in_phase = false;
     for (std::size_t l = 0; l < F; ++l) {
       const std::size_t idx = static_cast<std::size_t>(r) * F + l;
-      if (!switched[idx]) continue;
+      if (!switched[idx] || (faulty && stopped[idx])) continue;
       const double from_mhz = rs.comm_nominal_mhz;
       // Switch back first, then charge: the transition is attributed at
       // the app point, like Comm::exit_comm_phase.
-      cur_fhz[idx] = lane[l].f_hz;
+      cur_fhz[idx] = app_fhz[idx];
       cur_slot[idx] = 0;
       switched[idx] = 0;
-      spend(idx, 0, cluster_.dvfs_transition_s, sim::Activity::kCpu);
+      spend(idx, 0, transition_s(idx), sim::Activity::kCpu);
       if (sim::Tracer* t = tracer_of(l))
         t->record_marker(r, now[idx], "dvfs",
                          pas::util::strf("dvfs %.0f->%.0f MHz", from_mhz,
@@ -240,11 +313,16 @@ std::vector<RunRecord> BatchRepricer::reprice(
         const double cycles = cpu.on_chip_cycles(op.mix);
         for (std::size_t l = 0; l < F; ++l) {
           const std::size_t idx = base + l;
+          if (faulty && stopped[idx]) continue;
           const double t0 = now[idx];
           const sim::CpuModel::TimeSplit split = sim::CpuModel::split_at(
-              cycles, op.mix.mem_ops, lane[l].f_hz, lane[l].sec_per_mem);
+              cycles, op.mix.mem_ops, app_fhz[idx], app_spm[idx]);
           spend(idx, 0, split.on_chip_s, sim::Activity::kCpu);
           spend(idx, 0, split.off_chip_s, sim::Activity::kMemory);
+          if (faulty) {
+            check_alive(r, l, idx);
+            if (stopped[idx]) continue;
+          }
           if (sim::Tracer* t = tracer_of(l)) {
             t->record(r, t0, split.on_chip_s, sim::Activity::kCpu, "compute");
             if (split.off_chip_s > 0.0)
@@ -257,8 +335,12 @@ std::vector<RunRecord> BatchRepricer::reprice(
       }
       case sim::WorkOp::Kind::kRawSeconds: {
         exit_comm_phase(r);
-        for (std::size_t l = 0; l < F; ++l)
-          spend(base + l, 0, op.seconds, op.activity);
+        for (std::size_t l = 0; l < F; ++l) {
+          const std::size_t idx = base + l;
+          if (faulty && stopped[idx]) continue;
+          spend(idx, 0, op.seconds, op.activity);
+          if (faulty) check_alive(r, l, idx);
+        }
         break;
       }
       case sim::WorkOp::Kind::kCommDvfs: {
@@ -288,22 +370,56 @@ std::vector<RunRecord> BatchRepricer::reprice(
         const std::size_t msg_id = flight_bytes.size();
         flight_bytes.push_back(op.bytes);
         flight_rx_ser.push_back(op.peer == r ? 0.0 : ser);
-        flight_at_switch.resize((msg_id + 1) * F);
+        flight_at_switch.resize((msg_id + 1) * F, kLost);
         if (!op.blocking)
           rs.nb_tx_end.resize(rs.nb_tx_end.size() + F);
         const std::size_t nb_base = rs.nb_tx_end.size() - F;
         for (std::size_t l = 0; l < F; ++l) {
           const std::size_t idx = base + l;
-          const double o_send = o_num / cur_fhz[idx];
-          spend(idx, cur_slot[idx], o_send, sim::Activity::kNetwork);
-          const sim::NetworkTransfer t = sim::book_transfer(
-              net, r, op.peer, ser, now[idx], tx_busy[idx]);
-          if (op.blocking)
-            spend_until(idx, cur_slot[idx], t.tx_end,
-                        sim::Activity::kNetwork);
-          else
-            rs.nb_tx_end[nb_base + l] = t.tx_end;
-          flight_at_switch[msg_id * F + l] = t.at_switch;
+          if (faulty && stopped[idx]) continue;
+          // Comm::post's attempt loop: every attempt re-pays the CPU
+          // overhead and the wire; a dropped one backs off and retries
+          // until the attempt budget runs out.
+          sim::NetworkTransfer t;
+          for (int tries = 1;; ++tries) {
+            const double o_send = o_num / cur_fhz[idx];
+            spend(idx, cur_slot[idx], o_send, sim::Activity::kNetwork);
+            t = sim::book_transfer(net, r, op.peer, ser, now[idx],
+                                   tx_busy[idx]);
+            if (op.blocking)
+              spend_until(idx, cur_slot[idx], t.tx_end,
+                          sim::Activity::kNetwork);
+            if (!faulty) break;
+            fault::RankFaults& f = faults[idx];
+            if (!f.message_faults() || !f.draw_drop()) break;
+            ++lane_faults[l].drops;
+            if (sim::Tracer* tr = tracer_of(l))
+              tr->record_marker(r, now[idx], "fault",
+                                fault::drop_label(op.peer, op.tag, tries));
+            if (tries >= f.max_send_attempts()) {
+              stop(r, l, RunStatus::kMessageLoss,
+                   fault::MessageLossError(r, op.peer, op.tag, tries).what());
+              break;
+            }
+            ++retried[idx];
+            spend(idx, cur_slot[idx], f.backoff_s(tries - 1),
+                  sim::Activity::kNetwork);
+          }
+          double injected_delay = 0.0;
+          if (faulty) {
+            if (!stopped[idx]) check_alive(r, l, idx);
+            if (stopped[idx]) continue;  // never posted: stays kLost
+            injected_delay = faults[idx].draw_delay();
+            if (injected_delay > 0.0) {
+              ++lane_faults[l].delays;
+              if (sim::Tracer* tr = tracer_of(l))
+                tr->record_marker(
+                    r, now[idx], "fault",
+                    fault::delay_label(op.peer, op.tag, injected_delay));
+            }
+          }
+          if (!op.blocking) rs.nb_tx_end[nb_base + l] = t.tx_end;
+          flight_at_switch[msg_id * F + l] = t.at_switch + injected_delay;
           if (sim::Tracer* tr = tracer_of(l))
             tr->record(r, t0s[l], now[idx] - t0s[l], sim::Activity::kNetwork,
                        pas::util::strf("send->%d tag %d (%zuB)", op.peer,
@@ -325,6 +441,7 @@ std::vector<RunRecord> BatchRepricer::reprice(
             static_cast<std::size_t>(op.ordinal) * F;
         for (std::size_t l = 0; l < F; ++l) {
           const std::size_t idx = base + l;
+          if (faulty && stopped[idx]) continue;
           spend_until(idx, cur_slot[idx], rs.nb_tx_end[nb_base + l],
                       sim::Activity::kNetwork);
         }
@@ -335,6 +452,12 @@ std::vector<RunRecord> BatchRepricer::reprice(
         if (it == channels.end() || it->second.empty()) return false;
         const std::size_t msg_id = it->second.front();
         it->second.pop_front();
+        // A lane whose sender stopped before posting the message blocks
+        // in the mailbox, before any completion work.
+        if (faulty)
+          for (std::size_t l = 0; l < F; ++l)
+            if (flight_at_switch[msg_id * F + l] == kLost)
+              stopped[base + l] = 1;
         enter_comm_phase(r);
         const std::size_t msg_bytes = flight_bytes[msg_id];
         const double rx_ser = flight_rx_ser[msg_id];
@@ -344,6 +467,7 @@ std::vector<RunRecord> BatchRepricer::reprice(
         const bool contend = net.model_port_contention && op.peer != r;
         for (std::size_t l = 0; l < F; ++l) {
           const std::size_t idx = base + l;
+          if (faulty && stopped[idx]) continue;
           const double at_sw = flight_at_switch[msg_id * F + l];
           double arrival = at_sw + rx_ser;
           if (contend) {
@@ -360,6 +484,7 @@ std::vector<RunRecord> BatchRepricer::reprice(
                        sim::Activity::kNetwork,
                        pas::util::strf("recv<-%d tag %d (%zuB)", op.peer,
                                        op.tag, msg_bytes));
+          if (faulty) check_alive(r, l, idx);
         }
         ++rs.stats.messages_received;
         rs.stats.bytes_received += msg_bytes;
@@ -411,6 +536,13 @@ std::vector<RunRecord> BatchRepricer::reprice(
     RunRecord& rec = records[l];
     rec.nodes = n;
     rec.frequency_mhz = lane[l].in_mhz;
+    if (faulty && lane_faults[l].status != RunStatus::kOk) {
+      // The lane's first attempt aborts: handed back unpriced, like the
+      // failure record of a run that used up its attempts.
+      rec.status = lane_faults[l].status;
+      rec.error = std::move(lane_faults[l].error);
+      continue;
+    }
     for (int r = 0; r < n; ++r)
       rec.seconds = std::max(rec.seconds, now[static_cast<std::size_t>(r) * F + l]);
     rec.verified = ledger.verified;
@@ -470,7 +602,9 @@ std::vector<RunRecord> BatchRepricer::reprice(
       const mpi::CommStats& stats = rank[static_cast<std::size_t>(r)].stats;
       messages += static_cast<double>(stats.messages_sent);
       doubles += stats.avg_doubles_per_message();
-      rec.send_retries += static_cast<double>(stats.sends_retried);
+      if (faulty)
+        rec.send_retries +=
+            static_cast<double>(retried[static_cast<std::size_t>(r) * F + l]);
     }
     rec.messages_per_rank = messages / nranks;
     rec.doubles_per_message = doubles / nranks;
@@ -484,6 +618,16 @@ std::vector<RunRecord> BatchRepricer::reprice(
         t->record_span(r, 0.0, now[static_cast<std::size_t>(r) * F + l],
                        "rank",
                        pas::util::strf("rank %zu", static_cast<std::size_t>(r)));
+    }
+    // The simulator ticks these per injected fault; a priced lane
+    // stands for one simulation, so it ticks them for its own faults.
+    if (faulty && lane_faults[l].drops > 0) {
+      static obs::Counter& c = obs::registry().counter("fault.message_drops");
+      c.add(lane_faults[l].drops);
+    }
+    if (faulty && lane_faults[l].delays > 0) {
+      static obs::Counter& c = obs::registry().counter("fault.message_delays");
+      c.add(lane_faults[l].delays);
     }
   }
   return records;

@@ -29,6 +29,19 @@
 // returns RunRecords bit-identical to a full simulation at each
 // frequency, which the replay suites (BatchRepricer.*) and
 // --verify-replay check against RunMatrix::run_one.
+//
+// Faults (DESIGN.md §7) change priced seconds and whether a run aborts,
+// never the op stream, so a fault-armed ledger replays too. Each lane
+// expands the cluster's fault::FaultPlan at attempt 0 — the attempt a
+// full simulation of that point starts with — and re-draws every
+// rank's RankFaults stream in that rank's program order: straggler
+// speed scales the rank's clock rates, sends run Comm's drop → retry →
+// backoff loop and draw their switch delay, phase transitions draw
+// DVFS jitter, and the node-failure check follows every clock advance
+// Comm checks after. A lane in which a rank would throw
+// NodeFailedError or MessageLossError is not priced: it comes back
+// with the status and error the simulation would report, for the
+// caller to simulate in full (where sweep-level retries apply).
 #pragma once
 
 #include <vector>
@@ -50,10 +63,13 @@ class BatchRepricer {
 
   /// Replays `ledger` once and returns one RunRecord per entry of
   /// `freqs_mhz` (index-aligned), each bit-identical to a full
-  /// simulation at freqs_mhz[i]. `tracers`, when non-empty, must have
-  /// one slot per frequency; lane i's replay events (the set a traced
-  /// full run records, in a different order) are emitted into
-  /// tracers[i] when that slot is non-null.
+  /// simulation at freqs_mhz[i] (fault attempt 0). A lane whose
+  /// simulation would abort on an injected fault instead carries that
+  /// run's status and error, attempts 1 and nothing priced. `tracers`,
+  /// when non-empty, must have one slot per frequency; lane i's replay
+  /// events (the set a traced full run records, in a different order)
+  /// are emitted into tracers[i] when that slot is non-null — partial
+  /// for an aborted lane, whose events a caller discards.
   ///
   /// Throws std::logic_error when the ledger is not replayable, its op
   /// streams are inconsistent, or it has more ranks than the channel

@@ -272,15 +272,15 @@ RunRecord SweepExecutor::simulate_failsoft(const npb::Kernel& kernel,
 
 bool SweepExecutor::fast_path_eligible(const npb::Kernel& kernel) const {
   // The exactness gate (DESIGN.md §10): the kernel must declare that
-  // its control flow never depends on virtual time, and fault
-  // injection perturbs every run per-frequency (jitter draws, drops,
-  // straggler scaling), so armed faults always simulate in full.
-  // Sampled runs never record ledgers (a subset of the work is not
-  // replayable) and checkpointed runs split into segments the recorder
-  // cannot observe whole, so both features route every point through
-  // simulate_point instead.
-  return kernel.frequency_invariant_control_flow() &&
-         !cluster_.fault.enabled() && !sampling_ && !checkpoints_;
+  // its control flow never depends on virtual time. Armed faults
+  // change priced seconds and aborts, never the op stream, and the
+  // repricer re-draws each lane's fault streams itself. Sampled runs
+  // never record ledgers (a subset of the work is not replayable) and
+  // checkpointed runs split into segments the recorder cannot observe
+  // whole, so both features route every point through simulate_point
+  // instead.
+  return kernel.frequency_invariant_control_flow() && !sampling_ &&
+         !checkpoints_;
 }
 
 std::string SweepExecutor::point_key(const npb::Kernel& kernel,
@@ -551,8 +551,9 @@ void SweepExecutor::run_column(const npb::Kernel& kernel,
   // The column's charged-work ledger, resolved at its first miss:
   // loaded from the ledger cache (consulted once — a miss is definitive
   // this sweep) or recorded by simulating that miss in full. A declined
-  // recording (timing-dependent construct observed) sends the rest of
-  // the column to full simulation, without re-recording.
+  // recording (timing-dependent construct observed), or a head whose
+  // every attempt aborted on a fault, sends the rest of the column to
+  // full simulation, without re-recording.
   const Point& head = points[members.front()];
   const std::string ledger_key =
       RunCache::ledger_key(kernel, cluster_, head.nodes, head.comm_dvfs_mhz);
@@ -640,6 +641,17 @@ void SweepExecutor::run_column(const npb::Kernel& kernel,
     const ObsCtx* ctx = ctx_of ? &ctx_of[i] : nullptr;
     const double point_t0 = wall_seconds();
     RunRecord& rec = repriced[j];
+    if (rec.failed()) {
+      // The lane's first attempt would abort on an injected fault (a
+      // node that dies before this frequency finishes): simulate it in
+      // full, retries and trace included, like any point off the fast
+      // path. Its partial replay events are dropped with the sink.
+      rec = simulate_point(kernel, p, ctx, todo[j].key);
+      commit_point(kernel, p, ctx, todo[j].key, rec, false, false,
+                   batch_share + (wall_seconds() - point_t0));
+      records[i] = std::move(rec);
+      continue;
+    }
     if (tracing && ctx != nullptr) {
       obs::RunTrace trace;
       trace.nranks = p.nodes;

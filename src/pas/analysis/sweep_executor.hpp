@@ -16,13 +16,15 @@
 // repeated bench invocations stop re-simulating identical points.
 //
 // On top of both sits the frequency-collapse fast path (DESIGN.md
-// §10): when a kernel declares frequency_invariant_control_flow() and
-// fault injection is off, only the first frequency of each (kernel, N,
-// comm-DVFS) column is simulated — the run records a charged-work
-// ledger and one analysis::BatchRepricer pass prices every remaining
-// frequency of the column, bit-identical to a full run (DESIGN.md §11).
-// SweepOptions::verify_replay re-simulates every repriced point and
-// hard-fails on any byte difference.
+// §10): when a kernel declares frequency_invariant_control_flow(), only
+// the first frequency of each (kernel, N, comm-DVFS) column is
+// simulated — the run records a charged-work ledger and one
+// analysis::BatchRepricer pass prices every remaining frequency of the
+// column, bit-identical to a full run (DESIGN.md §11), armed fault
+// injection included: a lane whose first attempt would abort on a
+// fault is simulated in full instead. SweepOptions::verify_replay
+// re-simulates every repriced point and hard-fails on any byte
+// difference.
 //
 // For the axes repricing cannot collapse (node counts, iteration
 // depths), DESIGN.md §14 adds two opt-in accelerations: checkpoint

@@ -521,13 +521,16 @@ SweepSpec SweepSpec::load(const std::string& path) {
   }
 }
 
-SweepSpec SweepSpec::from_cli(const util::Cli& cli) {
+namespace {
+
+/// from_cli's merge: the document, then every flag over it.
+SweepSpec merge_cli(const util::Cli& cli) {
   SweepSpec spec;
   if (cli.has("spec")) {
     const std::string path = cli.get("spec", "");
     if (path.empty())
       throw std::invalid_argument("--spec needs a file path");
-    spec = load(path);
+    spec = SweepSpec::load(path);
   }
   if (cli.has("small"))
     spec.scale = cli.get_bool("small", false) ? "small" : "paper";
@@ -563,8 +566,21 @@ SweepSpec SweepSpec::from_cli(const util::Cli& cli) {
   }
   spec.options = SweepOptions::apply_cli(cli, std::move(spec.options));
   spec.observer = obs::Observer::from_cli(cli);
-  spec.validate();
   return spec;
+}
+
+}  // namespace
+
+SweepSpec SweepSpec::from_cli(const util::Cli& cli, const char* kernel) {
+  try {
+    SweepSpec spec = merge_cli(cli);
+    if (kernel != nullptr) spec.kernel = kernel;
+    spec.validate();
+    (void)make_spec_kernel(spec);  // a field the kernel rejects
+    return spec;
+  } catch (const std::invalid_argument& e) {
+    cli.usage_error(e.what());
+  }
 }
 
 std::vector<std::string> SweepSpec::cli_option_names() {

@@ -218,8 +218,13 @@ struct SweepSpec {
   /// `--faults RATE`,
   /// `--fault-seed N` (`--faults 0` clears an inherited fault block),
   /// and every SweepOptions flag via apply_cli. The observer is also
-  /// wired from the CLI (`--trace`/`--metrics`).
-  static SweepSpec from_cli(const util::Cli& cli);
+  /// wired from the CLI (`--trace`/`--metrics`). A non-null `kernel`
+  /// replaces the merged document's kernel (a bench that is one
+  /// kernel's figure). The result is checked against the kernel it
+  /// names (make_spec_kernel), and whatever the merge or that check
+  /// rejects is a usage error: Cli::usage_error, exit status 2.
+  static SweepSpec from_cli(const util::Cli& cli,
+                            const char* kernel = nullptr);
 
   /// Every option name from_cli consumes (spec, axes, SweepOptions,
   /// faults, observer), for Cli::check_usage — binaries append their

@@ -15,6 +15,15 @@ std::string d17(double x) { return pas::util::strf("%.17g", x); }
 
 }  // namespace
 
+std::string drop_label(int dst, int tag, int tries) {
+  return pas::util::strf("drop->%d tag %d (try %d)", dst, tag, tries);
+}
+
+std::string delay_label(int dst, int tag, double delay_s) {
+  return pas::util::strf("delay->%d tag %d (+%.3gus)", dst, tag,
+                         delay_s * 1e6);
+}
+
 NodeFailedError::NodeFailedError(int node, double fail_time_s)
     : FaultError(pas::util::strf("node %d failed at t=%.6gs", node,
                                  fail_time_s)),
@@ -74,8 +83,7 @@ RankFaults::RankFaults(const FaultConfig& cfg, std::uint64_t stream_seed,
       rng_(stream_seed) {}
 
 void RankFaults::check_alive(double now) const {
-  if (active_ && now >= fail_time_s_)
-    throw NodeFailedError(rank_, fail_time_s_);
+  if (!alive_at(now)) throw NodeFailedError(rank_, fail_time_s_);
 }
 
 bool RankFaults::draw_drop() {

@@ -32,6 +32,11 @@ namespace pas::fault {
 /// pasim_serve) so both layers back off identically.
 double backoff_s(double base_s, int retry);
 
+/// Trace-marker labels of injected message faults, shared by Comm and
+/// the batch repricer so a replayed lane emits the simulator's bytes.
+std::string drop_label(int dst, int tag, int tries);
+std::string delay_label(int dst, int tag, double delay_s);
+
 /// Base of every fault-induced abort. SweepExecutor treats these (and
 /// the runtime's DeadlockError/TimeoutError) as fail-soft: the run is
 /// recorded as failed and the sweep continues.
@@ -113,9 +118,14 @@ class RankFaults {
   bool active() const { return active_; }
   bool message_faults() const { return active_ && cfg_.message_faults(); }
 
-  /// Throws NodeFailedError once the rank's virtual clock has reached
-  /// its planned failure time.
+  /// False once the rank's virtual clock has reached its planned
+  /// failure time — the one alive predicate, shared by check_alive and
+  /// the batch repricer's per-lane fault replay.
+  bool alive_at(double now) const { return !active_ || now < fail_time_s_; }
+  /// Throws NodeFailedError when !alive_at(now).
   void check_alive(double now) const;
+  /// Planned failure time (+inf if the rank survives).
+  double fail_time_s() const { return fail_time_s_; }
 
   /// One send attempt: true if the attempt is lost.
   bool draw_drop();

@@ -133,9 +133,8 @@ double Comm::post(int dst, int tag, std::size_t payload_bytes, Payload data,
         obs::registry().counter("fault.message_drops");
     drops.add();
     if (runtime_.tracer().enabled())
-      runtime_.tracer().record_marker(
-          rank_, n.clock.now(), "fault",
-          pas::util::strf("drop->%d tag %d (try %d)", dst, tag, tries));
+      runtime_.tracer().record_marker(rank_, n.clock.now(), "fault",
+                                      fault::drop_label(dst, tag, tries));
     // Injected loss: the transport retries with exponential backoff,
     // re-paying the CPU overhead and wire time each attempt — the
     // energy cost of unreliability that resilience_sweep measures.
@@ -154,8 +153,7 @@ double Comm::post(int dst, int tag, std::size_t payload_bytes, Payload data,
     if (runtime_.tracer().enabled())
       runtime_.tracer().record_marker(
           rank_, n.clock.now(), "fault",
-          pas::util::strf("delay->%d tag %d (+%.3gus)", dst, tag,
-                          injected_delay * 1e6));
+          fault::delay_label(dst, tag, injected_delay));
   }
 
   Message msg;

@@ -63,9 +63,13 @@ void Cli::check_usage(const std::vector<std::string>& known) const {
   try {
     require_known(known);
   } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s: %s\n", program_.c_str(), e.what());
-    std::exit(2);
+    usage_error(e.what());
   }
+}
+
+void Cli::usage_error(const std::string& message) const {
+  std::fprintf(stderr, "%s: %s\n", program_.c_str(), message.c_str());
+  std::exit(2);
 }
 
 bool Cli::has(const std::string& name) const { return options_.count(name) != 0; }

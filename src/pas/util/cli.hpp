@@ -25,6 +25,10 @@ class Cli {
   void check_usage(std::initializer_list<const char*> known) const;
   void check_usage(const std::vector<std::string>& known) const;
 
+  /// Prints "<program>: <message>" to stderr and exits with status 2:
+  /// how a binary reports a bad option or option value.
+  [[noreturn]] void usage_error(const std::string& message) const;
+
   /// True if --name was present (with or without a value).
   bool has(const std::string& name) const;
 

@@ -160,26 +160,61 @@ std::unique_ptr<npb::Kernel> make_variant(const std::string& name,
 
 // Records one run's ledger through RunMatrix, the same way the
 // executor's fast path does (verified is frequency-invariant and lives
-// on the record, so the recorder's caller copies it over).
+// on the record, so the recorder's caller copies it over). Under armed
+// faults an attempt may abort; like the executor's retries, the next
+// attempt records the same ops (faults never change the op stream).
 sim::WorkLedger record_ledger(RunMatrix& matrix, const npb::Kernel& kernel,
                               int nodes, double frequency_mhz,
                               double comm_dvfs_mhz = 0.0) {
-  matrix.ledger_recorder().begin(nodes, comm_dvfs_mhz);
-  const RunRecord rec =
-      matrix.run_one(kernel, nodes, frequency_mhz, comm_dvfs_mhz);
-  sim::WorkLedger ledger = matrix.ledger_recorder().take();
-  ledger.verified = rec.verified;
-  return ledger;
+  for (int attempt = 0;; ++attempt) {
+    matrix.ledger_recorder().begin(nodes, comm_dvfs_mhz);
+    try {
+      const RunRecord rec = matrix.run_one(kernel, nodes, frequency_mhz,
+                                           comm_dvfs_mhz, attempt);
+      sim::WorkLedger ledger = matrix.ledger_recorder().take();
+      ledger.verified = rec.verified;
+      return ledger;
+    } catch (const fault::FaultError&) {
+      matrix.ledger_recorder().abort();
+      if (attempt == 8) throw;
+    }
+  }
+}
+
+// The simulation oracle of one point at fault attempt 0, traced into
+// the matrix's tracer: its record, or the status and message of the
+// fault that aborts it.
+RunRecord simulate_traced(RunMatrix& matrix, const npb::Kernel& kernel,
+                          int nodes, double frequency_mhz,
+                          double comm_dvfs_mhz) {
+  sim::Tracer& simulated = matrix.tracer();
+  simulated.clear();
+  simulated.enable();
+  RunRecord rec;
+  try {
+    rec = matrix.run_one(kernel, nodes, frequency_mhz, comm_dvfs_mhz);
+  } catch (const fault::NodeFailedError& e) {
+    rec.status = RunStatus::kNodeFailure;
+    rec.error = e.what();
+  } catch (const fault::MessageLossError& e) {
+    rec.status = RunStatus::kMessageLoss;
+    rec.error = e.what();
+  }
+  simulated.disable();
+  return rec;
 }
 
 // The oracle: prices `freqs` in one traced BatchRepricer pass, then
 // checks every lane — record and events — against a traced full
-// simulation of the same point.
+// simulation of the same point. A lane whose simulation aborts on an
+// injected fault must come back unpriced with that abort's status and
+// message; `aborted`, when given, counts those lanes.
 void expect_lanes_match_simulation(RunMatrix& matrix,
                                    const npb::Kernel& kernel, int nodes,
                                    const sim::WorkLedger& ledger,
                                    const std::vector<double>& freqs,
-                                   double comm_dvfs_mhz = 0.0) {
+                                   double comm_dvfs_mhz = 0.0,
+                                   std::size_t* aborted = nullptr) {
   std::vector<sim::Tracer> sinks(freqs.size());
   std::vector<sim::Tracer*> tracers;
   for (auto& t : sinks) {
@@ -193,11 +228,16 @@ void expect_lanes_match_simulation(RunMatrix& matrix,
   sim::Tracer& simulated = matrix.tracer();
   for (std::size_t i = 0; i < freqs.size(); ++i) {
     SCOPED_TRACE("f=" + std::to_string(freqs[i]));
-    simulated.clear();
-    simulated.enable();
     const RunRecord want =
-        matrix.run_one(kernel, nodes, freqs[i], comm_dvfs_mhz);
-    simulated.disable();
+        simulate_traced(matrix, kernel, nodes, freqs[i], comm_dvfs_mhz);
+    if (want.failed()) {
+      EXPECT_EQ(got[i].status, want.status);
+      EXPECT_EQ(got[i].error, want.error);
+      EXPECT_EQ(got[i].attempts, 1);
+      EXPECT_EQ(got[i].seconds, 0.0);
+      if (aborted != nullptr) ++*aborted;
+      continue;
+    }
     expect_identical(got[i], want);
     expect_identical_events(sinks[i].events(), simulated.events());
   }
@@ -267,6 +307,127 @@ TEST(BatchRepricer, CommDvfsColumnIdenticalToFullSimulationPerLane) {
                                 {600, 800, 1000, 1400}, 600);
 }
 
+// Faults change priced seconds and aborts, never the op stream: a
+// fault-armed ledger replays, each lane re-drawing its own fault
+// streams, over the same grid as the clean test. Two scaled presets
+// plus one with heavy drop, delay and straggler rates — enough message
+// loss that some lanes abort (MessageLossError) and must come back
+// with the simulation's own status and message. Each column replays
+// the clean run's ledger (under heavy loss a recording rarely
+// survives); wherever the armed recording does survive, it must be
+// that same ledger, op for op.
+TEST(BatchRepricer, FaultGridIdenticalToFullSimulation) {
+  const std::vector<double> freqs{600, 800, 1000, 1200, 1400};
+  fault::FaultConfig heavy;
+  heavy.seed = 11;
+  heavy.straggler_fraction = 0.5;
+  heavy.dvfs_jitter_s = 200e-6;
+  heavy.message_delay_prob = 0.5;
+  heavy.message_drop_prob = 0.3;
+  const std::vector<fault::FaultConfig> configs{
+      fault::FaultConfig::scaled(0.05, 2), fault::FaultConfig::scaled(0.05, 7),
+      heavy};
+  RunMatrix clean(sim::ClusterConfig::paper_testbed(4));
+  std::size_t aborted = 0;
+  std::size_t recorded_armed = 0;
+  double retries = 0.0;
+  for (const fault::FaultConfig& fc : configs) {
+    sim::ClusterConfig cfg = sim::ClusterConfig::paper_testbed(4);
+    cfg.fault = fc;
+    RunMatrix matrix(cfg);
+    for (const char* name : {"EP", "FT", "LU", "CG", "MG"}) {
+      for (int variant : {0, 1}) {
+        const auto kernel = make_variant(name, variant);
+        for (int n : {2, 4}) {
+          for (double comm : {0.0, 600.0}) {
+            SCOPED_TRACE(fc.signature() + " " + name + " variant " +
+                         std::to_string(variant) + " N=" + std::to_string(n) +
+                         " comm=" + std::to_string(comm));
+            const sim::WorkLedger ledger =
+                record_ledger(clean, *kernel, n, freqs.back(), comm);
+            ASSERT_TRUE(ledger.replayable);
+            matrix.ledger_recorder().begin(n, comm);
+            try {
+              const RunRecord rec =
+                  matrix.run_one(*kernel, n, freqs.back(), comm);
+              sim::WorkLedger armed = matrix.ledger_recorder().take();
+              armed.verified = rec.verified;
+              EXPECT_EQ(RunCache::encode_ledger(armed),
+                        RunCache::encode_ledger(ledger));
+              ++recorded_armed;
+            } catch (const fault::FaultError&) {
+              matrix.ledger_recorder().abort();
+            }
+            expect_lanes_match_simulation(matrix, *kernel, n, ledger, freqs,
+                                          comm, &aborted);
+            for (const RunRecord& rec :
+                 BatchRepricer(cfg).reprice(ledger, freqs))
+              retries += rec.send_retries;
+          }
+        }
+      }
+    }
+  }
+  // The grid exercises both halves of the contract.
+  EXPECT_GT(aborted, 0u);
+  EXPECT_GT(retries, 0.0);
+  EXPECT_GT(recorded_armed, 0u);
+}
+
+// Whole-node failure is the one time-dependent fault: a node that dies
+// at t=d kills every lane still running at d and spares every lane
+// that finishes first. With every node failing and the window scaled
+// so the first death falls between the fast and slow makespans, the
+// slow lanes come back kNodeFailure and the fast lanes price exactly.
+TEST(BatchRepricer, LaneThatOutlivesItsNodeIsHandedBack) {
+  const std::vector<double> freqs{600, 800, 1000, 1200, 1400};
+  const auto kernel = make_variant("EP", 1);
+  sim::ClusterConfig cfg = sim::ClusterConfig::paper_testbed(2);
+  RunMatrix clean(cfg);
+  const double slow = clean.run_one(*kernel, 2, freqs.front()).seconds;
+  const double fast = clean.run_one(*kernel, 2, freqs.back()).seconds;
+  cfg.fault.seed = 3;
+  cfg.fault.node_failure_prob = 1.0;
+  cfg.fault.node_failure_window_s = 1.0;
+  // Failure times scale linearly with the window.
+  const fault::FaultPlan unit(cfg.fault, 2);
+  const double first = std::min(unit.fail_time_s(0), unit.fail_time_s(1));
+  cfg.fault.node_failure_window_s = 0.5 * (slow + fast) / first;
+
+  RunMatrix matrix(cfg);
+  const sim::WorkLedger ledger =
+      record_ledger(matrix, *kernel, 2, freqs.back());
+  const std::vector<RunRecord> got =
+      BatchRepricer(cfg).reprice(ledger, freqs);
+  EXPECT_EQ(got.front().status, RunStatus::kNodeFailure);
+  EXPECT_EQ(got.back().status, RunStatus::kOk);
+  std::size_t aborted = 0;
+  expect_lanes_match_simulation(matrix, *kernel, 2, ledger, freqs, 0.0,
+                                &aborted);
+  EXPECT_GT(aborted, 0u);
+  EXPECT_LT(aborted, freqs.size());
+}
+
+// DVFS jitter is drawn only where a lane actually switches operating
+// points, so the 600 MHz lane of a comm-DVFS-600 column draws none
+// while the others do — and every later drop/delay draw of that rank
+// shifts with it. Each lane must re-draw its own stream.
+TEST(BatchRepricer, CommDvfsJitterDrawsPerLane) {
+  sim::ClusterConfig cfg = sim::ClusterConfig::paper_testbed(4);
+  cfg.fault.seed = 5;
+  cfg.fault.dvfs_jitter_s = 100e-6;
+  cfg.fault.message_delay_prob = 0.2;
+  cfg.fault.message_drop_prob = 0.1;
+  RunMatrix matrix(cfg);
+  const auto kernel = make_variant("FT", 0);
+  const sim::WorkLedger ledger = record_ledger(matrix, *kernel, 4, 800, 600);
+  ASSERT_TRUE(ledger.replayable);
+  std::size_t aborted = 0;
+  expect_lanes_match_simulation(matrix, *kernel, 4, ledger,
+                                {600, 800, 1000, 1400}, 600, &aborted);
+  EXPECT_EQ(aborted, 0u);
+}
+
 // A single-lane batch is the degenerate case — still the batched code
 // path, still bit-identical (this is what the executor runs when a
 // column has one cache miss).
@@ -333,18 +494,113 @@ TEST(ReplayFastPath, ExecutorSweepRepricesColumnTailsBitForBit) {
     expect_identical(got.records[i], want.records[i]);
 }
 
-// Armed fault injection voids the exactness gate: jitter and fault
-// draws are frequency-coupled, so every point must simulate in full.
-TEST(ReplayFastPath, FaultArmedSweepBypassesFastPath) {
+// Armed fault injection keeps the fast path: the column head
+// simulates, its tail replays with per-lane fault streams, and every
+// record's cache encoding equals a per-point run (a one-point column
+// never replays, so each of those simulates in full).
+TEST(ReplayFastPath, FaultArmedSweepRepricesBitForBit) {
   sim::ClusterConfig cfg = sim::ClusterConfig::paper_testbed(4);
   cfg.fault = fault::FaultConfig::scaled(0.05, 42);
   const auto kernel = make_kernel("EP", Scale::kSmall);
+  const std::vector<int> nodes{1, 2, 4};
+  const std::vector<double> freqs{600, 1000, 1400};
   const std::uint64_t before = repriced_count();
   SweepExecutor executor = make_observed_executor(cfg, jobs(2));
+  const MatrixResult result = executor.run({kernel.get(), nodes, freqs});
+  EXPECT_EQ(repriced_count() - before, 6u);
+  ASSERT_EQ(result.records.size(), 9u);
+
+  SweepExecutor per_point = make_observed_executor(cfg, jobs(1));
+  std::size_t i = 0;
+  for (int n : nodes) {
+    for (double f : freqs) {
+      SCOPED_TRACE("N=" + std::to_string(n) + " f=" + std::to_string(f));
+      EXPECT_EQ(RunCache::encode_record(result.records[i++]),
+                RunCache::encode_record(per_point.run_one(*kernel, n, f)));
+    }
+  }
+}
+
+// A tail lane whose first attempt would abort (its node dies before
+// the lane finishes) falls back to full simulation with the sweep's
+// retries: status, error and attempt count equal a per-point run, and
+// only the lanes that priced count as repriced. The head is the fast
+// 1400 MHz point, which survives; every node fails, with the window
+// scaled so the first death falls between the fast and slow makespans.
+TEST(ReplayFastPath, AbortingLaneFallsBackToFullSimulation) {
+  const auto kernel = make_kernel("EP", Scale::kSmall);
+  const std::vector<double> freqs{1400, 1200, 1000, 800, 600};
+  sim::ClusterConfig cfg = sim::ClusterConfig::paper_testbed(4);
+  RunMatrix clean(cfg);
+  const double fast = clean.run_one(*kernel, 2, freqs.front()).seconds;
+  const double slow = clean.run_one(*kernel, 2, freqs.back()).seconds;
+  cfg.fault.seed = 3;
+  cfg.fault.node_failure_prob = 1.0;
+  const fault::FaultPlan unit(cfg.fault, 2);
+  const double first = std::min(unit.fail_time_s(0), unit.fail_time_s(1));
+  cfg.fault.node_failure_window_s = 0.5 * (slow + fast) / first;
+
+  const std::uint64_t before = repriced_count();
+  SweepExecutor executor = make_observed_executor(cfg, jobs(2));
+  const MatrixResult result = executor.run({kernel.get(), {2}, freqs});
+  ASSERT_EQ(result.records.size(), freqs.size());
+
+  SweepExecutor per_point = make_observed_executor(cfg, jobs(1));
+  std::uint64_t priced = 0;
+  std::size_t fell_back = 0;
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
+    SCOPED_TRACE("f=" + std::to_string(freqs[i]));
+    const RunRecord want = per_point.run_one(*kernel, 2, freqs[i]);
+    const RunRecord& got = result.records[i];
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.error, want.error);
+    EXPECT_EQ(got.attempts, want.attempts);
+    EXPECT_EQ(RunCache::encode_record(got), RunCache::encode_record(want));
+    if (i == 0) continue;  // the head
+    if (want.failed() || want.attempts > 1)
+      ++fell_back;
+    else
+      ++priced;
+  }
+  EXPECT_GT(fell_back, 0u);
+  EXPECT_GT(priced, 0u);
+  EXPECT_EQ(repriced_count() - before, priced);
+}
+
+// A priced lane stands for one simulation: the volatile fault counters
+// tick for its drops and delays, so on a sweep without failed attempts
+// fault.message_drops still equals sweep.send_retries, while mpi.runs
+// counts only the column heads that really simulated.
+TEST(ReplayFastPath, FaultCountersTickPerPricedLane) {
+  sim::ClusterConfig cfg = sim::ClusterConfig::paper_testbed(4);
+  cfg.fault = fault::FaultConfig::scaled(0.05, 2);
+  const auto kernel = make_kernel("FT", Scale::kSmall);
+  obs::Registry& reg = obs::registry();
+  const auto value = [&](const char* name, obs::Stability s) {
+    return reg.counter(name, s).value();
+  };
+  constexpr obs::Stability kV = obs::Stability::kVolatile;
+  constexpr obs::Stability kS = obs::Stability::kStable;
+  const std::uint64_t drops0 = value("fault.message_drops", kV);
+  const std::uint64_t delays0 = value("fault.message_delays", kV);
+  const std::uint64_t runs0 = value("mpi.runs", kV);
+  const std::uint64_t retries0 = value("sweep.send_retries", kS);
+  const std::uint64_t run_retries0 = value("sweep.run_retries", kS);
+  const std::uint64_t failed0 = value("sweep.points_failed", kS);
+  const std::uint64_t repriced0 = repriced_count();
+
+  SweepExecutor executor = make_observed_executor(cfg, jobs(2));
   const MatrixResult result =
-      executor.run({kernel.get(), {1, 2, 4}, {600, 1000, 1400}});
-  EXPECT_EQ(repriced_count() - before, 0u);
-  EXPECT_EQ(result.records.size(), 9u);
+      executor.run({kernel.get(), {2, 4}, {600, 1000, 1400}});
+  ASSERT_EQ(result.records.size(), 6u);
+  ASSERT_EQ(value("sweep.run_retries", kS), run_retries0);
+  ASSERT_EQ(value("sweep.points_failed", kS), failed0);
+  EXPECT_EQ(repriced_count() - repriced0, 4u);
+  EXPECT_EQ(value("mpi.runs", kV) - runs0, 2u);
+  const std::uint64_t retries = value("sweep.send_retries", kS) - retries0;
+  EXPECT_GT(retries, 0u);
+  EXPECT_EQ(value("fault.message_drops", kV) - drops0, retries);
+  EXPECT_GT(value("fault.message_delays", kV) - delays0, 0u);
 }
 
 // --verify-replay re-simulates every repriced point and compares the

@@ -140,8 +140,9 @@ TEST(BatchedSweep, CommDvfsColumnsMatchSerialAtJobsEight) {
 
 // run_all drains every request's tasks as one batch; each result must
 // equal a run() of its request alone, byte for byte, at any --jobs — on
-// the column-task path (clean) and the point-task path (faults armed
-// turn the fast path off). Sweep ids follow request order.
+// the column-task path (clean, and with faults armed) and the
+// point-task path (sampled estimation turns the fast path off). Sweep
+// ids follow request order.
 TEST(SweepExecutor, RunAllMatchesPerRequestRuns) {
   const std::vector<int> nodes{1, 2, 4};
   const std::vector<double> freqs{600, 1000, 1400};
@@ -154,20 +155,30 @@ TEST(SweepExecutor, RunAllMatchesPerRequestRuns) {
       bytes += RunCache::encode_record(rec);
     return bytes;
   };
-  for (const bool faulty : {false, true}) {
-    SCOPED_TRACE(faulty ? "faults armed" : "clean");
+  for (const char* leg : {"clean", "faults armed", "sampled"}) {
+    SCOPED_TRACE(leg);
+    const std::string name = leg;
     auto cfg = sim::ClusterConfig::paper_testbed(4);
-    if (faulty) cfg.fault = fault::FaultConfig::scaled(0.05, 3);
+    if (name == "faults armed") cfg.fault = fault::FaultConfig::scaled(0.05, 3);
+    const auto options = [&](int n) {
+      SweepOptions o = jobs(n);
+      if (name == "sampled") {
+        o.sampling = true;
+        o.sample_period = 2;
+        o.warmup_iters = 0;
+      }
+      return o;
+    };
     std::vector<SweepRequest> requests;
     std::vector<std::string> want;
-    SweepExecutor single(make_spec(cfg, jobs(1)));
+    SweepExecutor single(make_spec(cfg, options(1)));
     for (const auto& kernel : kernels) {
       requests.push_back({kernel.get(), nodes, freqs});
       want.push_back(encode(single.run(requests.back())));
     }
     for (const int n : {1, 4}) {
       SCOPED_TRACE(n);
-      SweepSpec spec = make_spec(cfg, jobs(n));
+      SweepSpec spec = make_spec(cfg, options(n));
       spec.observer = std::make_shared<obs::Observer>(obs::ObsOptions{});
       SweepExecutor batch(spec);
       const std::vector<MatrixResult> got = batch.run_all(requests);

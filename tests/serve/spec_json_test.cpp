@@ -233,6 +233,25 @@ TEST(SpecJson, FlagsOverrideSpecFileWhichOverridesDefaults) {
   std::filesystem::remove(path);
 }
 
+// A merged spec its kernel rejects, or a flag value the sweep rejects,
+// is reported like an unknown option: "<program>: <reason>" on stderr
+// and exit status 2, never an uncaught exception. A pinned kernel is
+// the one checked.
+TEST(SpecJson, FromCliReportsRejectedValuesAsUsageErrors) {
+  EXPECT_EXIT(SweepSpec::from_cli(make_cli({"--iterations", "48"})),
+              testing::ExitedWithCode(2),
+              "^prog: .*kernel EP does not support an iteration override");
+  EXPECT_EXIT(
+      SweepSpec::from_cli(make_cli({"--kernel", "FT", "--iterations", "48"}),
+                          "EP"),
+      testing::ExitedWithCode(2), "kernel EP does not support");
+  EXPECT_EXIT(SweepSpec::from_cli(make_cli({"--retries", "-1"})),
+              testing::ExitedWithCode(2), "^prog: --retries must be >= 0");
+  EXPECT_EQ(SweepSpec::from_cli(make_cli({"--iterations", "48"}), "FT")
+                .iterations,
+            48);
+}
+
 TEST(SpecJson, LoadNamesThePathOnError) {
   try {
     SweepSpec::load("/nonexistent/spec.json");
