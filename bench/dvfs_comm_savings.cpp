@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
   const analysis::Scale scale = spec.resolved_scale();
-  const double app_mhz = env.freqs_mhz.back();
-  const double comm_mhz = env.freqs_mhz.front();
+  const double app_mhz = env.top_f_mhz();
+  const double comm_mhz = env.base_f_mhz;
 
   util::TextTable t(util::strf(
       "Communication-phase DVFS: app @ %.0f MHz, comm phases @ %.0f MHz",

@@ -38,17 +38,15 @@ int main(int argc, char** argv) {
   const double t2 = measured.times.at(2, env.base_f_mhz);
   std::printf("shape: T(2) > T(1) at 600 MHz -> %s (%.3fs vs %.3fs)\n",
               t2 > t1 ? "OK" : "MISMATCH", t2, t1);
-  const double fgain1 =
-      measured.times.at(1, env.base_f_mhz) /
-      measured.times.at(1, env.freqs_mhz.back());
-  const double fgainN =
-      measured.times.at(env.nodes.back(), env.base_f_mhz) /
-      measured.times.at(env.nodes.back(), env.freqs_mhz.back());
+  const int top_n = env.max_nodes();
+  const double fgain1 = measured.times.at(1, env.base_f_mhz) /
+                        measured.times.at(1, env.top_f_mhz());
+  const double fgainN = measured.times.at(top_n, env.base_f_mhz) /
+                        measured.times.at(top_n, env.top_f_mhz());
   std::printf(
       "shape: frequency gain shrinks with N -> %s (x%.2f at N=1, x%.2f at "
       "N=%d); sequential frequency speedup %.2f (paper: 1.6, sub-linear)\n",
-      fgain1 > fgainN ? "OK" : "MISMATCH", fgain1, fgainN, env.nodes.back(),
-      fgain1);
+      fgain1 > fgainN ? "OK" : "MISMATCH", fgain1, fgainN, top_n, fgain1);
   if (cli.has("csv") && !fig_b.write_csv(cli.get("csv", "fig2b.csv")))
     return 1;
   return obs::export_and_report(executor.observer()) ? 0 : 1;

@@ -12,6 +12,11 @@
 //   * the energy overhead of fault handling (retries, backoff,
 //     straggler stretch) relative to the clean sweep.
 //
+// One executor runs every sweep, one batch per kernel: the clean grid
+// plus one fault-armed grid per positive rate. Faults never change the
+// op stream, so each column's one recording prices the column under
+// every rate; a lane that would abort on a fault is simulated in full.
+//
 // Deterministic: a fixed --fault-seed reproduces every number at any
 // --jobs (DESIGN.md §7).
 #include <cmath>
@@ -45,10 +50,13 @@ int main(int argc, char** argv) {
   std::vector<double> rates{0.0, 0.01, 0.02, 0.05, 0.10};
   if (cli.has("faults")) rates = {0.0, cli.get_double("faults", 0.1)};
 
-  // One observer spans every executor, so run_report.json tells the
-  // whole clean-vs-faulty story in one artifact. from_cli already built
-  // it; every per-rate spec below shares the same pointer.
-  const std::shared_ptr<obs::Observer> observer = base.observer;
+  // One executor, with the spec's fault cleared (each faulty request
+  // carries its own), so one observer and one journal see every sweep:
+  // run_report.json tells the whole clean-vs-faulty story, and --resume
+  // resumes all of it.
+  analysis::SweepSpec spec = base;
+  spec.fault = fault::FaultConfig{};
+  analysis::SweepExecutor exec(std::move(spec));
 
   util::TextTable table(util::strf(
       "Resilience sweep: predicted-vs-simulated drift under faults (seed "
@@ -60,22 +68,22 @@ int main(int argc, char** argv) {
   for (const char* name : {"EP", "FT", "LU"}) {
     const auto kernel = analysis::make_kernel(name, scale);
 
-    // Clean reference (rate 0 of the ramp).
-    analysis::SweepSpec clean_spec = base;
-    clean_spec.fault = fault::FaultConfig{};
-    analysis::SweepExecutor clean_exec(clean_spec);
-    const analysis::MatrixResult clean = clean_exec.run(
-        {kernel.get(), env.nodes, env.freqs_mhz, base.comm_dvfs_mhz});
-
+    // The clean reference (rate 0 of the ramp), then each positive rate.
+    const analysis::SweepRequest clean_request{
+        kernel.get(), env.nodes, env.freqs_mhz, base.comm_dvfs_mhz};
+    std::vector<analysis::SweepRequest> requests{clean_request};
     for (double rate : rates) {
-      analysis::SweepSpec spec = base;
-      spec.fault.reset();
-      if (rate > 0.0) spec.fault = fault::FaultConfig::scaled(rate, seed);
-      analysis::SweepExecutor exec(spec);
-      const analysis::MatrixResult faulty =
-          rate > 0.0 ? exec.run({kernel.get(), env.nodes, env.freqs_mhz,
-                                 base.comm_dvfs_mhz})
-                     : clean;
+      if (rate <= 0.0) continue;
+      requests.push_back(clean_request);
+      requests.back().fault = fault::FaultConfig::scaled(rate, seed);
+    }
+    const std::vector<analysis::MatrixResult> results = exec.run_all(requests);
+    const analysis::MatrixResult& clean = results.front();
+
+    std::size_t next = 1;
+    for (double rate : rates) {
+      const analysis::MatrixResult& faulty =
+          rate > 0.0 ? results[next++] : clean;
 
       int failed = 0;
       int run_retries = 0;
@@ -120,5 +128,5 @@ int main(int argc, char** argv) {
   if (cli.has("csv") &&
       !table.write_csv(cli.get("csv", "resilience_sweep.csv")))
     return 1;
-  return obs::export_and_report(observer) ? 0 : 1;
+  return obs::export_and_report(exec.observer()) ? 0 : 1;
 }

@@ -42,11 +42,17 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   cli.check_usage({"spec", "nodes", "freq"});
   const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
-  const double f =
-      cli.has("freq") ? cli.get_double("freq", 1400)
-                      : (spec.freqs_mhz.empty() ? 1400 : spec.freqs_mhz.back());
-  const std::vector<int> nodes =
+  const double f = cli.has("freq") ? cli.get_double("freq", 1400)
+                   : spec.freqs_mhz.empty()
+                       ? 1400
+                       : *std::max_element(spec.freqs_mhz.begin(),
+                                           spec.freqs_mhz.end());
+  // Rows ascend whatever the listed order: the workload grows with the
+  // row index, the first row is the scaled-time base and the last the
+  // Sun-Ni point.
+  std::vector<int> nodes =
       spec.nodes.empty() ? std::vector<int>{1, 2, 4, 8, 16} : spec.nodes;
+  std::sort(nodes.begin(), nodes.end());
   analysis::RunMatrix matrix(sim::ClusterConfig::paper_testbed(16));
 
   for (const char* name : {"EP", "FT"}) {

@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
   std::printf("max error %.1f%%, mean error %.1f%%\n",
               errors.max_error() * 100.0, errors.mean_error() * 100.0);
   std::printf("paper shape check: errors grow with frequency -> %s\n",
-              errors.at(env.parallel_nodes.back(), env.freqs_mhz.back()) >
-                      errors.at(env.parallel_nodes.back(), env.base_f_mhz)
+              errors.at(env.max_nodes(), env.top_f_mhz()) >
+                      errors.at(env.max_nodes(), env.base_f_mhz)
                   ? "OK"
                   : "MISMATCH");
   if (cli.has("csv") && !table.write_csv(cli.get("csv", "table1.csv")))

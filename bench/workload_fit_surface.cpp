@@ -8,6 +8,7 @@
 // Expected shape: EP -> serial fraction ~0, overhead terms ~0, near-perfect
 // R^2; FT -> large frequency-blind overhead terms (the all-to-all);
 // LU/CG/MG -> small serial fractions with visible overhead.
+#include <algorithm>
 #include <cstdio>
 
 #include "pas/analysis/error_table.hpp"
@@ -35,6 +36,12 @@ int main(int argc, char** argv) {
                 "D per-N (s)", "serial frac", "R^2", "max err (full grid)"});
 
   analysis::SweepExecutor executor(spec);
+  // The off-base anchors are picked by rank on ascending copies of the
+  // axes, so a spec that lists an axis descending fits the same subset.
+  std::vector<int> nodes_up = env.nodes;
+  std::vector<double> freqs_up = env.freqs_mhz;
+  std::sort(nodes_up.begin(), nodes_up.end());
+  std::sort(freqs_up.begin(), freqs_up.end());
 
   for (const char* name : {"EP", "FT", "LU", "CG", "MG"}) {
     const auto kernel = analysis::make_kernel(name, scale);
@@ -47,12 +54,12 @@ int main(int argc, char** argv) {
     for (int n : env.nodes) subset.add(n, env.base_f_mhz,
                                        full.times.at(n, env.base_f_mhz));
     for (double f : env.freqs_mhz) subset.add(1, f, full.times.at(1, f));
-    const double f_top = env.freqs_mhz.back();
-    const double f_mid = env.freqs_mhz[env.freqs_mhz.size() / 2];
-    subset.add(env.nodes.back(), f_top, full.times.at(env.nodes.back(), f_top));
+    const double f_top = freqs_up.back();
+    const double f_mid = freqs_up[freqs_up.size() / 2];
+    subset.add(nodes_up.back(), f_top, full.times.at(nodes_up.back(), f_top));
     subset.add(2, f_top, full.times.at(2, f_top));
-    if (env.nodes.size() > 2)
-      subset.add(env.nodes[2], f_mid, full.times.at(env.nodes[2], f_mid));
+    if (nodes_up.size() > 2)
+      subset.add(nodes_up[2], f_mid, full.times.at(nodes_up[2], f_mid));
 
     const core::WorkloadFit fit = core::fit_workload(subset, env.base_f_mhz);
     const analysis::ErrorTable err = analysis::time_error_table(

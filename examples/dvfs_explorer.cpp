@@ -27,7 +27,12 @@ int main(int argc, char** argv) {
   const bool named = cli.has("spec") || cli.has("kernel");
   analysis::SweepSpec spec =
       analysis::SweepSpec::from_cli(cli, named ? nullptr : "LU");
-  if (spec.nodes.empty()) spec.nodes = {1, 2, 4, 8};
+  // The trimmed node grid stops at the cluster's size (4 nodes at the
+  // small scale).
+  if (spec.nodes.empty()) {
+    for (int n : {1, 2, 4, 8})
+      if (n <= spec.resolved_cluster().num_nodes) spec.nodes.push_back(n);
+  }
   if (spec.freqs_mhz.empty()) spec.freqs_mhz = {600, 1000, 1400};
   const std::string name = spec.kernel;
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
@@ -63,7 +68,7 @@ int main(int argc, char** argv) {
   // The paper's decomposition message: how the overhead share moves.
   std::puts("overhead share of execution time:");
   for (int n : nodes) {
-    const auto& rec = sweep.at(n, freqs.front());
+    const auto& rec = sweep.at(n, env.base_f_mhz);
     std::printf("  N=%2d: %.1f%%\n", n,
                 rec.mean_overhead_s / rec.seconds * 100.0);
   }

@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
 
   // 4. Predict a configuration we never measured during the fit, then
   //    measure it and compare.
-  const int n = std::min(8, env.nodes.back());
-  const double f = env.freqs_mhz.back();
+  const int n = std::min(8, env.max_nodes());
+  const double f = env.top_f_mhz();
   const double predicted = sp.predict_time(n, f);
   const analysis::RunRecord check = matrix.run_one(*kernel, n, f);
   std::printf(

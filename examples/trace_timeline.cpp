@@ -6,6 +6,7 @@
 //
 //   ./examples/trace_timeline --kernel FT --nodes 4 --freq 1400
 //       --out ft_trace.json [--comm-dvfs 600]   (one command line)
+#include <algorithm>
 #include <cstdio>
 
 #include "pas/analysis/experiment.hpp"
@@ -23,11 +24,16 @@ int main(int argc, char** argv) {
       analysis::SweepSpec::from_cli(cli, named ? nullptr : "FT");
   if (!cli.has("spec") && !cli.has("small")) spec.scale = "small";
   const std::string name = spec.kernel;
-  const int nodes = spec.nodes.empty() ? 4 : spec.nodes.back();
-  const double freq =
-      cli.has("freq")
-          ? cli.get_double("freq", 1400)
-          : (spec.freqs_mhz.empty() ? 1400 : spec.freqs_mhz.back());
+  // One point: the largest listed node count and top listed frequency.
+  const int nodes = spec.nodes.empty()
+                        ? 4
+                        : *std::max_element(spec.nodes.begin(),
+                                            spec.nodes.end());
+  const double freq = cli.has("freq") ? cli.get_double("freq", 1400)
+                      : spec.freqs_mhz.empty()
+                          ? 1400
+                          : *std::max_element(spec.freqs_mhz.begin(),
+                                              spec.freqs_mhz.end());
   const double comm_dvfs = spec.comm_dvfs_mhz;
   const std::string out = cli.get("out", "trace.json");
 

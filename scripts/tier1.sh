@@ -139,6 +139,36 @@ cmp "$REPLAY_DIR/fcold.csv" "$REPLAY_DIR/fwarm.csv"
   --csv "$REPLAY_DIR/fjobs8.csv" > "$REPLAY_DIR/fjobs8.out"
 cmp "$REPLAY_DIR/fcold.out" "$REPLAY_DIR/fjobs8.out"
 cmp "$REPLAY_DIR/fcold.csv" "$REPLAY_DIR/fjobs8.csv"
+# The ledger key ignores faults: the fault-armed cold run over the
+# clean run's cache prices every column from the clean ledgers, adds no
+# .ledger, and prints what the fresh-cache fault-armed run printed.
+ledgers="$(find "$REPLAY_DIR/cache" -name '*.ledger' | wc -l)"
+./build/bench/fig2_ft_surface --small --jobs 2 "${FAULTS[@]}" \
+  --cache "$REPLAY_DIR/cache" --csv "$REPLAY_DIR/fshared.csv" \
+  > "$REPLAY_DIR/fshared.out"
+shared="$(find "$REPLAY_DIR/cache" -name '*.ledger' | wc -l)"
+[ "$shared" -eq "$ledgers" ] || {
+  echo "fault-armed run on the clean cache added $((shared - ledgers))" \
+    "ledgers, expected 0"; exit 1; }
+cmp "$REPLAY_DIR/fcold.out" "$REPLAY_DIR/fshared.out"
+cmp "$REPLAY_DIR/fcold.csv" "$REPLAY_DIR/fshared.csv"
+# resilience_sweep batches each kernel's clean and fault-armed grids on
+# one executor, so fault-armed heads are priced by replay. Seed 5 hands
+# lanes back to full simulation. Its table must not depend on --jobs,
+# and --verify-replay re-simulates every priced lane.
+RES=(--small --faults 0.05 --fault-seed 5)
+table() { grep -E '^(Resilience sweep:|\+|\|)' "$1"; }
+for j in 1 4; do
+  ./build/bench/resilience_sweep "${RES[@]}" --no-cache --jobs "$j" \
+    > "$REPLAY_DIR/res$j.out"
+done
+./build/bench/resilience_sweep "${RES[@]}" --jobs 2 --verify-replay \
+  --cache "$REPLAY_DIR/res_cache" > "$REPLAY_DIR/res_verify.out"
+table "$REPLAY_DIR/res1.out" > "$REPLAY_DIR/res1.table"
+[ -s "$REPLAY_DIR/res1.table" ] || { echo "resilience_sweep printed no table"; exit 1; }
+for r in res4 res_verify; do
+  table "$REPLAY_DIR/$r.out" | cmp "$REPLAY_DIR/res1.table" -
+done
 # A fault block that splits columns: the fast 1400 MHz heads survive,
 # and tail lanes whose node dies before they finish fall back to full
 # simulation (with retries). A --jobs 8 --verify-replay run must match
@@ -156,7 +186,8 @@ awk -F, '$1 == "sweep.points_repriced" { seen = 1; v = $4 }
   echo "the fault-split spec repriced every tail lane: no fallback ran"
   exit 1; }
 echo "frequency-collapse replay OK (cold/warm/--jobs 8 byte-identical," \
-  "clean and fault-armed; aborting lanes fall back)"
+  "clean and fault-armed; fault-armed columns share clean ledgers;" \
+  "aborting lanes fall back)"
 
 echo "== tier 1: sampled estimation + checkpoint warm-starts =="
 # DESIGN.md §14, on the axis replay cannot collapse (node count
@@ -310,6 +341,27 @@ fi
 cmp "$ROBUST_DIR/tref/trace.json" "$ROBUST_DIR/tres/trace.json"
 cmp "$ROBUST_DIR/tref_out/REPORT.md" "$ROBUST_DIR/tres_out/REPORT.md"
 echo "traced crash/resume OK (trace.json byte-identical)"
+# resilience_sweep journals every sweep of the run into one journal:
+# 3 kernels x (clean + one rate) x 9 small points = 54 frames, and a
+# --resume re-run serves all 54 from it and prints the same table.
+RES_JOURNAL="$ROBUST_DIR/resilience.journal"
+(cd "$ROBUST_DIR" && "$ROOT/build/bench/resilience_sweep" --small --no-cache \
+  --jobs 1 --faults 0.05 --journal "$RES_JOURNAL" > res_first.out)
+if command -v python3 >/dev/null; then
+  python3 scripts/check_journal_schema.py "$RES_JOURNAL" |
+    grep -q ' 54 frame(s)' || {
+    echo "resilience_sweep journal does not hold all 54 points:"
+    python3 scripts/check_journal_schema.py "$RES_JOURNAL"; exit 1; }
+fi
+(cd "$ROBUST_DIR" && "$ROOT/build/bench/resilience_sweep" --small --no-cache \
+  --jobs 1 --faults 0.05 --journal "$RES_JOURNAL" --resume \
+  --metrics res_obs > res_resumed.out)
+awk -F, '$1 == "sweep.points_resumed" { seen = 1; v = $4 }
+  END { exit !(seen && v + 0 == 54) }' "$ROBUST_DIR/res_obs/metrics.csv" || {
+  echo "resilience_sweep --resume did not resume all 54 points"; exit 1; }
+cmp <(grep -E '^(Resilience sweep:|\+|\|)' "$ROBUST_DIR/res_first.out") \
+  <(grep -E '^(Resilience sweep:|\+|\|)' "$ROBUST_DIR/res_resumed.out")
+echo "resilience_sweep journal/resume OK (54 frames, all resumed)"
 # Two concurrent processes sharing one cache directory must both
 # finish cleanly and agree byte-for-byte.
 SHARED="$ROBUST_DIR/shared_cache"
@@ -377,8 +429,27 @@ usage_error() {
 usage_error fig1_ep_surface --small --iterations 48
 usage_error full_report --small --iterations 48 --out "$SERVE_DIR/usage_out"
 usage_error fig2_ft_surface --small --nodes ,
+grep -q 'item 1 of "," is empty' "$SERVE_DIR/usage.err" || {
+  echo "--nodes , must name the empty item:"; cat "$SERVE_DIR/usage.err"
+  exit 1; }
 usage_error fig2_ft_surface --small --retries -1
-echo "spec schema + --spec equivalence + usage errors OK"
+# Shape checks read the axes' extremes, not their ends: a descending
+# frequency axis prints the ascending run's shape verdicts.
+./build/bench/fig2_ft_surface --small --no-cache --freqs 600,1000,1400 |
+  grep '^shape:' > "$SERVE_DIR/shape_up.txt"
+./build/bench/fig2_ft_surface --small --no-cache --freqs 1400,1000,600 |
+  grep '^shape:' > "$SERVE_DIR/shape_down.txt"
+[ -s "$SERVE_DIR/shape_up.txt" ] || { echo "fig2 printed no shape lines"; exit 1; }
+cmp "$SERVE_DIR/shape_up.txt" "$SERVE_DIR/shape_down.txt"
+# Every example runs at the small scale (a 4-node cluster).
+mkdir -p "$SERVE_DIR/examples"
+for ex in capacity_planner dvfs_explorer quickstart trace_timeline; do
+  (cd "$SERVE_DIR/examples" && "$ROOT/build/examples/$ex" --small \
+    > "$ex.out" 2>&1) || {
+    echo "examples/$ex --small failed:"; cat "$SERVE_DIR/examples/$ex.out"
+    exit 1; }
+done
+echo "spec schema + --spec equivalence + usage errors + shapes + examples OK"
 
 echo "== tier 1: serve (cold / warm / concurrent vs offline) =="
 # A pasim_serve broker answering pasim_client submissions must return

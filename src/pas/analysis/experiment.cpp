@@ -1,5 +1,6 @@
 #include "pas/analysis/experiment.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "pas/analysis/sweep_executor.hpp"
@@ -9,6 +10,14 @@
 namespace pas::analysis {
 
 ExperimentEnv ExperimentEnv::paper() { return ExperimentEnv{}; }
+
+double ExperimentEnv::top_f_mhz() const {
+  return *std::max_element(freqs_mhz.begin(), freqs_mhz.end());
+}
+
+int ExperimentEnv::max_nodes() const {
+  return *std::max_element(nodes.begin(), nodes.end());
+}
 
 ExperimentEnv ExperimentEnv::small() {
   ExperimentEnv env;

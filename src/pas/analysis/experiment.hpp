@@ -33,6 +33,11 @@ struct ExperimentEnv {
   std::vector<double> freqs_mhz{600.0, 800.0, 1000.0, 1200.0, 1400.0};
   double base_f_mhz = 600.0;
 
+  /// The top frequency and the largest node count of the axes, in any
+  /// order: a spec may list an axis descending.
+  double top_f_mhz() const;
+  int max_nodes() const;
+
   static ExperimentEnv paper();
   /// Reduced grid (N <= 4, 3 frequencies) for quick runs and tests.
   static ExperimentEnv small();

@@ -191,9 +191,14 @@ std::string RunCache::sampled_key_suffix(int sample_period, int warmup_iters) {
 std::string RunCache::ledger_key(const npb::Kernel& kernel,
                                  const sim::ClusterConfig& cluster, int nodes,
                                  double comm_dvfs_mhz) {
+  // Faults change priced seconds and aborts, never the op stream, so
+  // every fault config of a column signs as the clean cluster: one
+  // ledger serves them all, under the clean column's key.
+  sim::ClusterConfig clean = cluster;
+  clean.fault = fault::FaultConfig{};
   return pas::util::strf("ledger-v5|%s|%s|N=%d|comm=%s",
                          kernel.signature().c_str(),
-                         cluster_signature(cluster).c_str(), nodes,
+                         cluster_signature(clean).c_str(), nodes,
                          d17(comm_dvfs_mhz).c_str());
 }
 

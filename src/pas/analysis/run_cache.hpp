@@ -31,9 +31,10 @@
 // Besides RunRecords, the cache stores charged-work ledgers
 // (sim::WorkLedger) keyed by the frequency-independent part of the run
 // identity — kernel, cluster, rank count, comm-DVFS point, but *not*
-// the operating point or power model — so the frequency-collapse fast
-// path (DESIGN.md §10) can re-price a whole DVFS column from one
-// simulated run, across processes.
+// the operating point, the power model or the fault config — so the
+// frequency-collapse fast path (DESIGN.md §10) can re-price a whole
+// DVFS column, under any fault config, from one simulated run, across
+// processes.
 //
 // v5 adds mid-run checkpoints (sim::Checkpoint, DESIGN.md §14): `.ckpt`
 // entries keyed by the kernel's *iteration-boundary prefix* identity —
@@ -111,7 +112,10 @@ class RunCache {
 
   /// Ledger key: the frequency-independent slice of the run identity.
   /// Deliberately excludes the operating point (that is what replay
-  /// varies) and the power model (energy is priced at replay time).
+  /// varies), the power model (energy is priced at replay time) and
+  /// cluster.fault (faults never change the op stream; the replay
+  /// re-draws them per lane), so a fault-armed column's key equals its
+  /// clean twin's.
   static std::string ledger_key(const npb::Kernel& kernel,
                                 const sim::ClusterConfig& cluster, int nodes,
                                 double comm_dvfs_mhz);

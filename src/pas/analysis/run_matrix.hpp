@@ -129,6 +129,13 @@ class RunMatrix {
     return runtime_.ledger_recorder();
   }
 
+  /// Fault injection for the next runs, replacing cluster().fault (a
+  /// leased matrix serves sweeps under different fault configs).
+  void set_fault_config(const fault::FaultConfig& fault) {
+    cluster_.fault = fault;
+    runtime_.set_fault_config(fault);
+  }
+
   /// One configuration. `comm_dvfs_mhz` != 0 enables communication-
   /// phase DVFS at that operating point (paper §1 / refs [14, 15]).
   /// `fault_attempt` salts the run's FaultPlan (sweep-level retries);

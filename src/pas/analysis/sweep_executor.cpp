@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <future>
 #include <stdexcept>
 #include <unordered_map>
@@ -79,19 +80,24 @@ std::vector<std::vector<std::size_t>> group_columns(
 
 /// RAII lease of a RunMatrix slot: taken from the free list, or created
 /// when every existing instance is busy (bounded by the pool size, so
-/// at most `jobs` instances ever exist).
+/// at most `jobs` instances ever exist), and armed with the leasing
+/// sweep's fault config — the one cluster field sweeps of a batch vary.
 class SweepExecutor::MatrixLease {
  public:
-  explicit MatrixLease(SweepExecutor& exec) : exec_(exec) {
-    std::lock_guard<std::mutex> lock(exec_.slots_mutex_);
-    if (!exec_.free_matrices_.empty()) {
-      matrix_ = exec_.free_matrices_.back();
-      exec_.free_matrices_.pop_back();
-    } else {
-      exec_.matrices_.push_back(
-          std::make_unique<RunMatrix>(exec_.cluster_, exec_.power_));
-      matrix_ = exec_.matrices_.back().get();
+  MatrixLease(SweepExecutor& exec, const fault::FaultConfig& fault)
+      : exec_(exec) {
+    {
+      std::lock_guard<std::mutex> lock(exec_.slots_mutex_);
+      if (!exec_.free_matrices_.empty()) {
+        matrix_ = exec_.free_matrices_.back();
+        exec_.free_matrices_.pop_back();
+      } else {
+        exec_.matrices_.push_back(
+            std::make_unique<RunMatrix>(exec_.cluster_, exec_.power_));
+        matrix_ = exec_.matrices_.back().get();
+      }
     }
+    matrix_->set_fault_config(fault);
   }
   ~MatrixLease() {
     std::lock_guard<std::mutex> lock(exec_.slots_mutex_);
@@ -164,10 +170,11 @@ void SweepExecutor::attach_journal(const std::string& path) {
   journal_ = std::make_unique<SweepJournal>(path, SweepJournal::Mode::kAttach);
 }
 
-RunRecord SweepExecutor::simulate_failsoft(const npb::Kernel& kernel,
-                                           const Point& p, const ObsCtx* ctx,
+RunRecord SweepExecutor::simulate_failsoft(const Sweep& s, const Point& p,
+                                           const ObsCtx* ctx,
                                            sim::WorkLedger* ledger_out,
                                            const SegmentOptions* seg) {
+  const npb::Kernel& kernel = *s.kernel;
   if (ledger_out != nullptr && seg != nullptr)
     throw std::logic_error(
         "simulate_failsoft: a segment run cannot record a charged-work "
@@ -177,13 +184,13 @@ RunRecord SweepExecutor::simulate_failsoft(const npb::Kernel& kernel,
   // deadlock in a fault-free run is a bug in the kernel body and would
   // reproduce identically, so it is recorded on the first attempt.
   const int max_attempts =
-      1 + (cluster_.fault.enabled() ? std::max(0, run_retries_) : 0);
+      1 + (s.cluster.fault.enabled() ? std::max(0, run_retries_) : 0);
   const bool tracing = observer_ && observer_->tracing() && ctx != nullptr;
   for (int attempt = 0;; ++attempt) {
     RunStatus status;
     std::string error;
     try {
-      MatrixLease lease(*this);
+      MatrixLease lease(*this, s.cluster.fault);
       // Leased matrices are shared across points, so the tracer must
       // come back disabled and empty whatever happens; an aborted
       // attempt's partial events are wall-clock-dependent and are
@@ -231,7 +238,7 @@ RunRecord SweepExecutor::simulate_failsoft(const npb::Kernel& kernel,
         obs::RunTrace trace;
         trace.nranks = p.nodes;
         trace.frequency_mhz = p.frequency_mhz;
-        trace.op = cluster_.operating_points.at_mhz(p.frequency_mhz);
+        trace.op = s.cluster.operating_points.at_mhz(p.frequency_mhz);
         trace.makespan_s = rec.seconds;
         trace.events = (*lease).tracer().events();
         trace.wall_s = observer_->wall_now_s();
@@ -283,19 +290,19 @@ bool SweepExecutor::fast_path_eligible(const npb::Kernel& kernel) const {
          !checkpoints_;
 }
 
-std::string SweepExecutor::point_key(const npb::Kernel& kernel,
-                                     const Point& p) const {
-  std::string key = RunCache::key(kernel, cluster_, power_, p.nodes,
+std::string SweepExecutor::point_key(const Sweep& s, const Point& p) const {
+  std::string key = RunCache::key(*s.kernel, s.cluster, power_, p.nodes,
                                   p.frequency_mhz, p.comm_dvfs_mhz);
   if (sampling_)
     key += RunCache::sampled_key_suffix(sample_period_, warmup_iters_);
   return key;
 }
 
-RunRecord SweepExecutor::simulate_point(const npb::Kernel& kernel,
-                                        const Point& p, const ObsCtx* ctx,
+RunRecord SweepExecutor::simulate_point(const Sweep& s, const Point& p,
+                                        const ObsCtx* ctx,
                                         const std::string& key) {
-  if (!sampling_ && !checkpoints_) return simulate_failsoft(kernel, p, ctx);
+  if (!sampling_ && !checkpoints_) return simulate_failsoft(s, p, ctx);
+  const npb::Kernel& kernel = *s.kernel;
   const int total = kernel.iteration_count(p.nodes);
   const bool tracing_point =
       observer_ && observer_->tracing() && ctx != nullptr;
@@ -305,13 +312,13 @@ RunRecord SweepExecutor::simulate_point(const npb::Kernel& kernel,
   // different plans), and no tracing (a resumed segment cannot re-emit
   // its prefix's trace events). Ineligible points fall back to cold
   // exact runs.
-  const bool can_ckpt = checkpoints_ && !cluster_.fault.enabled() &&
+  const bool can_ckpt = checkpoints_ && !s.cluster.fault.enabled() &&
                         total > 0 && !kernel.prefix_signature().empty() &&
                         !tracing_point;
   std::string ckpt_key;
   std::shared_ptr<const sim::Checkpoint> warm;
   if (can_ckpt) {
-    ckpt_key = RunCache::checkpoint_key(kernel, cluster_, p.nodes,
+    ckpt_key = RunCache::checkpoint_key(kernel, s.cluster, p.nodes,
                                         p.frequency_mhz, p.comm_dvfs_mhz);
     warm = cache_.lookup_checkpoint(ckpt_key, total);
   }
@@ -339,12 +346,12 @@ RunRecord SweepExecutor::simulate_point(const npb::Kernel& kernel,
     seg.resume = warm.get();
     seg.sample_period = sample_period_;
     seg.warmup_iters = warmup_iters_;
-    RunRecord rec = simulate_failsoft(kernel, p, ctx, nullptr, &seg);
-    if (!rec.failed()) maybe_verify_sampling(kernel, p, key, rec);
+    RunRecord rec = simulate_failsoft(s, p, ctx, nullptr, &seg);
+    if (!rec.failed()) maybe_verify_sampling(s, p, key, rec);
     return rec;
   }
 
-  if (!can_ckpt) return simulate_failsoft(kernel, p, ctx);
+  if (!can_ckpt) return simulate_failsoft(s, p, ctx);
 
   // Exact checkpointed flow: make sure a checkpoint exists at this
   // point's full depth — running the prefix (warm-started when a
@@ -361,28 +368,28 @@ RunRecord SweepExecutor::simulate_point(const npb::Kernel& kernel,
     seg1.resume = warm.get();
     seg1.stop_at = total;
     seg1.capture = &cap;
-    RunRecord part = simulate_failsoft(kernel, p, ctx, nullptr, &seg1);
+    RunRecord part = simulate_failsoft(s, p, ctx, nullptr, &seg1);
     if (part.failed()) return part;
     at_total = cache_.store_checkpoint(ckpt_key, std::move(cap));
   }
   SegmentOptions seg2;
   seg2.resume = at_total.get();
-  return simulate_failsoft(kernel, p, ctx, nullptr, &seg2);
+  return simulate_failsoft(s, p, ctx, nullptr, &seg2);
 }
 
-void SweepExecutor::maybe_verify_sampling(const npb::Kernel& kernel,
-                                          const Point& p,
+void SweepExecutor::maybe_verify_sampling(const Sweep& s, const Point& p,
                                           const std::string& key,
                                           const RunRecord& rec) {
   if (verify_sampling_ <= 0.0 || !rec.sampled) return;
-  const std::string k = key.empty() ? point_key(kernel, p) : key;
+  const npb::Kernel& kernel = *s.kernel;
+  const std::string k = key.empty() ? point_key(s, p) : key;
   // Deterministic subset: the key hash is a pure function of the point
   // identity, so the same points verify at any --jobs and across
   // resumes.
   const auto mod =
       static_cast<std::uint64_t>(std::llround(1.0 / verify_sampling_));
   if (mod > 1 && util::fnv1a(k) % mod != 0) return;
-  const RunRecord exact = simulate_failsoft(kernel, p, nullptr);
+  const RunRecord exact = simulate_failsoft(s, p, nullptr);
   if (exact.failed()) {
     util::log_warn(util::strf(
         "--verify-sampling: exact re-run of %s N=%d f=%.0fMHz failed (%s); "
@@ -436,13 +443,14 @@ void SweepExecutor::note_ledger_resolved(const sim::WorkLedger& ledger) {
   columns.add();
 }
 
-std::optional<RunRecord> SweepExecutor::run_point(const npb::Kernel& kernel,
+std::optional<RunRecord> SweepExecutor::run_point(const Sweep& s,
                                                   const Point& p,
                                                   const ObsCtx* ctx,
                                                   const MissFn& miss) {
   const double wall_t0 = wall_seconds();
+  const npb::Kernel& kernel = *s.kernel;
   std::string key;
-  if (use_cache_ || journal_ != nullptr) key = point_key(kernel, p);
+  if (use_cache_ || journal_ != nullptr) key = point_key(s, p);
   // Journaled resume: an already-completed point (successful or
   // fail-soft) is served from the journal — unless this point is being
   // traced, in which case it re-simulates (deterministically, so every
@@ -460,7 +468,7 @@ std::optional<RunRecord> SweepExecutor::run_point(const npb::Kernel& kernel,
       use_cache_ ? cache_.lookup(key) : std::nullopt;
   const bool from_cache = rec.has_value();
   if (!from_cache) {
-    rec = miss ? miss(key) : simulate_point(kernel, p, ctx, key);
+    rec = miss ? miss(key) : simulate_point(s, p, ctx, key);
     if (!rec) return std::nullopt;
   }
   commit_point(kernel, p, ctx, key, *rec, from_cache, false,
@@ -543,23 +551,18 @@ void SweepExecutor::note_point(const npb::Kernel& kernel, const Point& p,
   }
 }
 
-void SweepExecutor::run_column(const npb::Kernel& kernel,
-                               const std::vector<Point>& points,
+void SweepExecutor::run_column(Sweep& s,
                                const std::vector<std::size_t>& members,
-                               const ObsCtx* ctx_of,
-                               std::vector<RunRecord>& records) {
-  // The column's charged-work ledger, resolved at its first miss:
-  // loaded from the ledger cache (consulted once — a miss is definitive
-  // this sweep) or recorded by simulating that miss in full. A declined
-  // recording (timing-dependent construct observed), or a head whose
-  // every attempt aborted on a fault, sends the rest of the column to
-  // full simulation, without re-recording.
-  const Point& head = points[members.front()];
-  const std::string ledger_key =
-      RunCache::ledger_key(kernel, cluster_, head.nodes, head.comm_dvfs_mhz);
-  std::shared_ptr<const sim::WorkLedger> ledger;
-  bool ledger_checked = false;
-  bool declined = false;
+                               LedgerGroup& group) {
+  // The group's charged-work ledger, resolved at its first miss: loaded
+  // from the ledger cache (consulted once — a miss is definitive this
+  // sweep) or recorded by simulating that miss in full. Faults never
+  // change the op stream, so whichever column of the group records it,
+  // every column prices from it. A declined recording (timing-dependent
+  // construct observed) sends the rest of the group to full simulation,
+  // without re-recording; a miss whose every attempt aborted on a fault
+  // leaves the recording to the next miss.
+  const npb::Kernel& kernel = *s.kernel;
 
   // Pass 1, in grid order: every point runs the per-point pipeline;
   // once the ledger is resolved, each further miss is deferred into
@@ -570,50 +573,52 @@ void SweepExecutor::run_column(const npb::Kernel& kernel,
   };
   std::vector<Pending> todo;
   for (const std::size_t i : members) {
-    const Point& p = points[i];
-    const ObsCtx* ctx = ctx_of ? &ctx_of[i] : nullptr;
+    const Point& p = s.points[i];
+    const ObsCtx* ctx = s.ctx(i);
     const auto miss =
         [&](const std::string& key) -> std::optional<RunRecord> {
-      if (declined) return simulate_point(kernel, p, ctx, key);
-      if (!ledger && use_cache_ && !ledger_checked) {
-        ledger_checked = true;
-        ledger = cache_.lookup_ledger(ledger_key);
-        if (ledger) note_ledger_resolved(*ledger);
+      if (group.declined) return simulate_point(s, p, ctx, key);
+      if (!group.ledger && use_cache_ && !group.ledger_checked) {
+        group.ledger_checked = true;
+        group.ledger = cache_.lookup_ledger(group.key);
+        if (group.ledger) note_ledger_resolved(*group.ledger);
       }
-      if (ledger) {
+      if (group.ledger) {
         todo.push_back(Pending{i, key});
         return std::nullopt;
       }
       sim::WorkLedger fresh;
-      RunRecord rec = simulate_failsoft(kernel, p, ctx, &fresh);
-      if (rec.failed() || !fresh.replayable) {
-        declined = true;
-        if (!rec.failed() && !fresh.decline_reason.empty())
+      RunRecord rec = simulate_failsoft(s, p, ctx, &fresh);
+      if (rec.failed()) return rec;
+      if (!fresh.replayable) {
+        group.declined = true;
+        if (!fresh.decline_reason.empty())
           util::log_info(util::strf(
               "%s N=%d: charged-work recording declined (%s); the column "
               "simulates in full",
               kernel.name().c_str(), p.nodes, fresh.decline_reason.c_str()));
         return rec;
       }
-      ledger = use_cache_ ? cache_.store_ledger(ledger_key, std::move(fresh))
-                          : std::make_shared<const sim::WorkLedger>(
-                                std::move(fresh));
-      if (ledger) note_ledger_resolved(*ledger);
+      group.ledger =
+          use_cache_ ? cache_.store_ledger(group.key, std::move(fresh))
+                     : std::make_shared<const sim::WorkLedger>(
+                           std::move(fresh));
+      if (group.ledger) note_ledger_resolved(*group.ledger);
       return rec;
     };
-    if (std::optional<RunRecord> rec = run_point(kernel, p, ctx, miss))
-      records[i] = std::move(*rec);
+    if (std::optional<RunRecord> rec = run_point(s, p, ctx, miss))
+      s.records[i] = std::move(*rec);
   }
   if (todo.empty()) return;
 
   // Pass 2: one BatchRepricer call prices every deferred frequency
-  // simultaneously (DESIGN.md §11).
+  // simultaneously (DESIGN.md §11), under this sweep's fault config.
   const double batch_t0 = wall_seconds();
-  const bool tracing = observer_ && observer_->tracing() && ctx_of != nullptr;
+  const bool tracing = observer_ && observer_->tracing() && !s.ctxs.empty();
   std::vector<double> freqs;
   freqs.reserve(todo.size());
   for (const Pending& t : todo)
-    freqs.push_back(points[t.index].frequency_mhz);
+    freqs.push_back(s.points[t.index].frequency_mhz);
   std::vector<std::unique_ptr<sim::Tracer>> sinks;
   std::vector<sim::Tracer*> tracer_ptrs;
   if (tracing) {
@@ -624,10 +629,11 @@ void SweepExecutor::run_column(const npb::Kernel& kernel,
       tracer_ptrs.push_back(sinks.back().get());
     }
   }
-  const BatchRepricer repricer(cluster_, power_);
+  const sim::WorkLedger& ledger = *group.ledger;
+  const BatchRepricer repricer(s.cluster, power_);
   std::vector<RunRecord> repriced =
-      repricer.reprice(*ledger, freqs, tracer_ptrs);
-  note_repriced_lanes(todo.size(), ledger->total_ops() * todo.size());
+      repricer.reprice(ledger, freqs, tracer_ptrs);
+  note_repriced_lanes(todo.size(), ledger.total_ops() * todo.size());
   // The batch call's wall cost is shared; attribute an equal share to
   // each lane's histogram sample.
   const double batch_share =
@@ -637,8 +643,8 @@ void SweepExecutor::run_column(const npb::Kernel& kernel,
   // log line, then the pipeline's tail.
   for (std::size_t j = 0; j < todo.size(); ++j) {
     const std::size_t i = todo[j].index;
-    const Point& p = points[i];
-    const ObsCtx* ctx = ctx_of ? &ctx_of[i] : nullptr;
+    const Point& p = s.points[i];
+    const ObsCtx* ctx = s.ctx(i);
     const double point_t0 = wall_seconds();
     RunRecord& rec = repriced[j];
     if (rec.failed()) {
@@ -646,24 +652,24 @@ void SweepExecutor::run_column(const npb::Kernel& kernel,
       // node that dies before this frequency finishes): simulate it in
       // full, retries and trace included, like any point off the fast
       // path. Its partial replay events are dropped with the sink.
-      rec = simulate_point(kernel, p, ctx, todo[j].key);
+      rec = simulate_point(s, p, ctx, todo[j].key);
       commit_point(kernel, p, ctx, todo[j].key, rec, false, false,
                    batch_share + (wall_seconds() - point_t0));
-      records[i] = std::move(rec);
+      s.records[i] = std::move(rec);
       continue;
     }
     if (tracing && ctx != nullptr) {
       obs::RunTrace trace;
       trace.nranks = p.nodes;
       trace.frequency_mhz = p.frequency_mhz;
-      trace.op = cluster_.operating_points.at_mhz(p.frequency_mhz);
+      trace.op = s.cluster.operating_points.at_mhz(p.frequency_mhz);
       trace.makespan_s = rec.seconds;
       trace.events = sinks[j]->events();
       trace.wall_s = observer_->wall_now_s();
       observer_->record_run_trace(ctx->sweep, ctx->index, std::move(trace));
     }
     if (verify_replay_) {
-      const RunRecord fresh = simulate_failsoft(kernel, p, nullptr);
+      const RunRecord fresh = simulate_failsoft(s, p, nullptr);
       const std::string repriced_bytes = RunCache::encode_record(rec);
       const std::string simulated_bytes = RunCache::encode_record(fresh);
       if (repriced_bytes != simulated_bytes)
@@ -683,21 +689,23 @@ void SweepExecutor::run_column(const npb::Kernel& kernel,
         rec.mean_overhead_s, rec.energy.total_j(), rec.verified ? 1 : 0));
     commit_point(kernel, p, ctx, todo[j].key, rec, false, true,
                  batch_share + (wall_seconds() - point_t0));
-    records[i] = std::move(rec);
+    s.records[i] = std::move(rec);
   }
 }
 
 RunRecord SweepExecutor::run_one(const npb::Kernel& kernel, int nodes,
                                  double frequency_mhz, double comm_dvfs_mhz) {
-  return *run_point(kernel, Point{nodes, frequency_mhz, comm_dvfs_mhz},
-                    nullptr);
+  Sweep s;
+  s.kernel = &kernel;
+  s.cluster = cluster_;
+  return *run_point(s, Point{nodes, frequency_mhz, comm_dvfs_mhz}, nullptr);
 }
 
-void SweepExecutor::run_points_isolated(const npb::Kernel& kernel,
-                                        const std::vector<Point>& points,
-                                        const ObsCtx* ctx_of,
-                                        std::vector<RunRecord>& records) {
+void SweepExecutor::run_points_isolated(Sweep& s) {
   namespace o = pas::obs;
+  const npb::Kernel& kernel = *s.kernel;
+  const std::vector<Point>& points = s.points;
+  std::vector<RunRecord>& records = s.records;
   // Supervisor traffic is wall-clock-dependent (which worker dies,
   // which retry lands) — volatile diagnostics only.
   static o::Counter& isolated_columns =
@@ -719,12 +727,11 @@ void SweepExecutor::run_points_isolated(const npb::Kernel& kernel,
   std::vector<char> resolved(points.size(), 0);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
-    keys[i] = point_key(kernel, p);
+    keys[i] = point_key(s, p);
     if (std::optional<RunRecord> done = journal_->find(keys[i])) {
       records[i] = std::move(*done);
       resolved[i] = 1;
-      note_point(kernel, p, ctx_of ? &ctx_of[i] : nullptr, records[i], false,
-                 false, true, 0.0);
+      note_point(kernel, p, s.ctx(i), records[i], false, false, true, 0.0);
     }
   }
 
@@ -768,17 +775,18 @@ void SweepExecutor::run_points_isolated(const npb::Kernel& kernel,
         continue;
       }
       resolved[i] = 1;
-      note_point(kernel, points[i], ctx_of ? &ctx_of[i] : nullptr, records[i],
-                 false, false, false, exit ? exit->elapsed_s : 0.0);
+      note_point(kernel, points[i], s.ctx(i), records[i], false, false,
+                 false, exit ? exit->elapsed_s : 0.0);
     }
   };
 
   // The child builds a FRESH executor (fresh rank pool, fresh RunMatrix)
-  // from this one's spec and runs the caller's kernel object on the
-  // shared journal.
+  // from this one's spec under the sweep's fault config and runs the
+  // caller's kernel object on the shared journal.
   const std::string journal_path = journal_->path();
   const ColumnSupervisor::Body body = [&](const std::vector<Point>& pending) {
     SweepSpec spec = spec_;
+    spec.fault = s.cluster.fault;
     spec.options.jobs = 1;
     spec.options.isolate = false;
     spec.options.journal_path.clear();
@@ -830,30 +838,44 @@ void SweepExecutor::run_sweeps(std::vector<Sweep>& sweeps) {
       s.ctxs[i] = ObsCtx{id, static_cast<int>(i)};
   }
   if (isolate_) {
-    for (Sweep& s : sweeps)
-      run_points_isolated(*s.kernel, s.points, s.ctx_of(), s.records);
+    for (Sweep& s : sweeps) run_points_isolated(s);
     return;
   }
 
   // One task list for the whole batch, in request order. Frequency
-  // collapse makes each fast-path column one sequential task — its
-  // first cache-missing frequency simulates and records the ledger,
-  // every later frequency re-prices from it — so parallelism runs over
-  // columns there and over points elsewhere. Record values are
-  // unchanged: replay is bit-identical to full simulation
-  // (BatchRepricer contract).
+  // collapse makes each fast-path column sequential — its first
+  // cache-missing frequency simulates and records the ledger, every
+  // later frequency re-prices from it — and the columns that share a
+  // ledger key (one column under each request's fault config) run as
+  // one task at the first one's place, so one recording prices them
+  // all. Parallelism runs over ledger groups there and over points
+  // elsewhere. Record values are unchanged: replay is bit-identical to
+  // full simulation (BatchRepricer contract).
   std::vector<std::function<void()>> tasks;
+  std::deque<LedgerGroup> groups;  // stable addresses for the tasks
+  std::unordered_map<std::string, LedgerGroup*> group_of;
   for (Sweep& s : sweeps) {
     if (fast_path_eligible(*s.kernel)) {
-      for (std::vector<std::size_t>& members : group_columns(s.points))
-        tasks.push_back([this, &s, members = std::move(members)] {
-          run_column(*s.kernel, s.points, members, s.ctx_of(), s.records);
-        });
+      for (std::vector<std::size_t>& members : group_columns(s.points)) {
+        const Point& head = s.points[members.front()];
+        std::string key = RunCache::ledger_key(*s.kernel, s.cluster,
+                                               head.nodes, head.comm_dvfs_mhz);
+        LedgerGroup*& group = group_of[key];
+        if (group == nullptr) {
+          group = &groups.emplace_back();
+          group->key = std::move(key);
+          tasks.push_back([this, group] {
+            for (auto& [sweep, column] : group->columns)
+              run_column(*sweep, column, *group);
+            group->ledger.reset();
+          });
+        }
+        group->columns.emplace_back(&s, std::move(members));
+      }
     } else {
       for (std::size_t i = 0; i < s.points.size(); ++i)
         tasks.push_back([this, &s, i] {
-          s.records[i] = *run_point(*s.kernel, s.points[i],
-                                    s.ctxs.empty() ? nullptr : &s.ctxs[i]);
+          s.records[i] = *run_point(s, s.points[i], s.ctx(i));
         });
     }
   }
@@ -882,6 +904,7 @@ std::vector<RunRecord> SweepExecutor::run_points(
     const npb::Kernel& kernel, const std::vector<Point>& points) {
   std::vector<Sweep> batch(1);
   batch[0].kernel = &kernel;
+  batch[0].cluster = cluster_;
   batch[0].points = points;
   run_sweeps(batch);
   return std::move(batch[0].records);
@@ -895,6 +918,8 @@ std::vector<MatrixResult> SweepExecutor::run_all(
     if (request.kernel == nullptr)
       throw std::invalid_argument("SweepRequest.kernel must be set");
     batch[r].kernel = request.kernel;
+    batch[r].cluster = cluster_;
+    if (request.fault) batch[r].cluster.fault = *request.fault;
     batch[r].points.reserve(request.node_counts.size() *
                             request.freqs_mhz.size());
     for (int n : request.node_counts) {

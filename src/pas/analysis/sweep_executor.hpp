@@ -22,9 +22,12 @@
 // analysis::BatchRepricer pass prices every remaining frequency of the
 // column, bit-identical to a full run (DESIGN.md §11), armed fault
 // injection included: a lane whose first attempt would abort on a
-// fault is simulated in full instead. SweepOptions::verify_replay
-// re-simulates every repriced point and hard-fails on any byte
-// difference.
+// fault is simulated in full instead. Faults never change the op
+// stream, so the ledger key ignores them: the same column under every
+// fault config of a batch (SweepRequest::fault) is one task that
+// records once and prices each config's lanes, heads included, by
+// replay. SweepOptions::verify_replay re-simulates every repriced point
+// and hard-fails on any byte difference.
 //
 // For the axes repricing cannot collapse (node counts, iteration
 // depths), DESIGN.md §14 adds two opt-in accelerations: checkpoint
@@ -49,6 +52,10 @@
 //   analysis::MatrixResult m = exec.run({&kernel, nodes, freqs_mhz});
 //   // or, for several grids at once (one batch, --jobs N across all):
 //   std::vector<analysis::MatrixResult> ms = exec.run_all({ep, ft, lu});
+//   // or, one grid clean and under faults (one recording per column):
+//   analysis::SweepRequest faulty = clean;
+//   faulty.fault = fault::FaultConfig::scaled(0.05, seed);
+//   std::vector<analysis::MatrixResult> ms = exec.run_all({clean, faulty});
 #pragma once
 
 #include <functional>
@@ -56,6 +63,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pas/analysis/run_cache.hpp"
@@ -76,6 +84,12 @@ struct SweepRequest {
   std::vector<double> freqs_mhz;
   /// != 0 enables communication-phase DVFS at that operating point.
   double comm_dvfs_mhz = 0.0;
+  /// Fault injection for this grid, replacing the executor's cluster
+  /// fault config; unset = the executor's. Every per-point step (keys,
+  /// retries, checkpoint gate, simulation, replay) runs under it.
+  /// Requests of one batch that differ only here share each column's
+  /// charged-work recording (DESIGN.md §10).
+  std::optional<fault::FaultConfig> fault = std::nullopt;
 };
 
 class SweepExecutor {
@@ -108,11 +122,14 @@ class SweepExecutor {
 
   /// Runs every request's grid as one batch and returns one result per
   /// request, in request order, each with records in grid order and
-  /// bit-identical to the serial path. Every request's tasks (one per
-  /// fast-path column, one per point otherwise) share the pool, so
-  /// --jobs N keeps N tasks in flight across all the grids, not only
-  /// within one. Observer sweeps are registered in request order before
-  /// any task runs, so sweep ids never depend on scheduling.
+  /// bit-identical to the serial path. Every request's tasks share the
+  /// pool, so --jobs N keeps N tasks in flight across all the grids,
+  /// not only within one. A task is one ledger group on the fast path
+  /// — the columns of the batch that share a ledger key (the same
+  /// column under each request's fault config), in request order — and
+  /// one point otherwise. Observer sweeps are registered in request
+  /// order before any task runs, so sweep ids never depend on
+  /// scheduling.
   ///
   /// Fail-soft: a run aborted by fault injection or the deadlock
   /// watchdog is retried (`run_retries`, transient faults only) and
@@ -150,16 +167,31 @@ class SweepExecutor {
     int sweep = -1;
     int index = -1;
   };
-  /// One grid of a batch: its points, their observer coordinates
-  /// (empty when nothing observes) and the records being resolved.
+  /// One grid of a batch: its kernel and cluster (the executor's, with
+  /// the request's fault config applied), its points, their observer
+  /// coordinates (empty when nothing observes) and the records being
+  /// resolved.
   struct Sweep {
     const npb::Kernel* kernel = nullptr;
+    sim::ClusterConfig cluster;
     std::vector<Point> points;
     std::vector<ObsCtx> ctxs;
     std::vector<RunRecord> records;
-    const ObsCtx* ctx_of() const {
-      return ctxs.empty() ? nullptr : ctxs.data();
+    /// Point i's observer coordinates; null when nothing observes.
+    const ObsCtx* ctx(std::size_t i) const {
+      return ctxs.empty() ? nullptr : &ctxs[i];
     }
+  };
+  /// The fast-path columns of a batch that share one ledger key — the
+  /// same column under each request's fault config — in request order,
+  /// and the ledger they price from: resolved at the group's first miss
+  /// and dropped when the group's task ends (a cache keeps its own).
+  struct LedgerGroup {
+    std::string key;
+    std::vector<std::pair<Sweep*, std::vector<std::size_t>>> columns;
+    std::shared_ptr<const sim::WorkLedger> ledger;
+    bool ledger_checked = false;  ///< the ledger cache was consulted
+    bool declined = false;        ///< recording declined: simulate in full
   };
   /// The one path every entry point runs: registers each sweep with
   /// the observer in order, then resolves all their points as a single
@@ -175,8 +207,8 @@ class SweepExecutor {
   /// cache lookup, then `miss` (simulate_point when empty), and
   /// commit_point for the resolved record. Returns nullopt only for a
   /// point `miss` deferred.
-  std::optional<RunRecord> run_point(const npb::Kernel& kernel,
-                                     const Point& p, const ObsCtx* ctx,
+  std::optional<RunRecord> run_point(const Sweep& s, const Point& p,
+                                     const ObsCtx* ctx,
                                      const MissFn& miss = {});
   /// The pipeline's tail: record-cache store (fresh, successful records
   /// only), journal append and note_point.
@@ -184,12 +216,12 @@ class SweepExecutor {
                     const ObsCtx* ctx, const std::string& key,
                     const RunRecord& rec, bool from_cache, bool repriced,
                     double elapsed_s);
-  /// Runs one fast-path column through run_point in grid order: the
-  /// first miss loads or records the column's charged-work ledger, and
-  /// ONE BatchRepricer pass prices every later miss (DESIGN.md §11).
-  void run_column(const npb::Kernel& kernel, const std::vector<Point>& points,
-                  const std::vector<std::size_t>& members,
-                  const ObsCtx* ctx_of, std::vector<RunRecord>& records);
+  /// Runs one fast-path column of `group` through run_point in grid
+  /// order: the group's first miss loads or records its charged-work
+  /// ledger, and ONE BatchRepricer pass under the sweep's cluster
+  /// prices every later miss of the column (DESIGN.md §11).
+  void run_column(Sweep& s, const std::vector<std::size_t>& members,
+                  LedgerGroup& group);
   /// Per-point observer accounting (wall histogram, stable counters,
   /// report point). `resumed` marks a point served from the sweep
   /// journal (never also from_cache/repriced).
@@ -201,10 +233,7 @@ class SweepExecutor {
   /// at most `jobs` live at once, and records kCrashed/kTimeout for
   /// members of a column the supervisor gives up. Runs on the calling
   /// thread only — forking from pool workers is not fork-safe.
-  void run_points_isolated(const npb::Kernel& kernel,
-                           const std::vector<Point>& points,
-                           const ObsCtx* ctx_of,
-                           std::vector<RunRecord>& records);
+  void run_points_isolated(Sweep& s);
   /// Stable replay counters: lanes priced and ledger ops replayed, and
   /// the size and count of resolved column ledgers.
   void note_repriced_lanes(std::size_t lanes, std::size_t ops);
@@ -213,7 +242,7 @@ class SweepExecutor {
   /// sampled iteration plans, DESIGN.md §14) instead of run_one; never
   /// combined with `ledger_out` (a partial or sampled segment must not
   /// record a replayable ledger).
-  RunRecord simulate_failsoft(const npb::Kernel& kernel, const Point& p,
+  RunRecord simulate_failsoft(const Sweep& s, const Point& p,
                               const ObsCtx* ctx,
                               sim::WorkLedger* ledger_out = nullptr,
                               const SegmentOptions* seg = nullptr);
@@ -221,19 +250,19 @@ class SweepExecutor {
   /// (DESIGN.md §14); plain simulate_failsoft when neither feature
   /// applies to this point. `key` is the point's cache key ("" when
   /// caching and journaling are both off).
-  RunRecord simulate_point(const npb::Kernel& kernel, const Point& p,
-                           const ObsCtx* ctx, const std::string& key);
+  RunRecord simulate_point(const Sweep& s, const Point& p, const ObsCtx* ctx,
+                           const std::string& key);
   /// --verify-sampling: a deterministic key-hash-selected fraction of
   /// sampled points is re-simulated exactly; the exact makespan must
   /// fall within the estimate's 95% confidence interval or the sweep
   /// aborts with std::runtime_error.
-  void maybe_verify_sampling(const npb::Kernel& kernel, const Point& p,
+  void maybe_verify_sampling(const Sweep& s, const Point& p,
                              const std::string& key, const RunRecord& rec);
   /// The record cache / journal key of one point. Sampled records are
   /// estimates and are keyed apart from exact records (a
   /// "|sampled(p=..,w=..)" suffix), so the two populations can never
   /// satisfy each other's lookups.
-  std::string point_key(const npb::Kernel& kernel, const Point& p) const;
+  std::string point_key(const Sweep& s, const Point& p) const;
   /// The exactness gate: true when every point of this sweep may use
   /// the charged-work fast path.
   bool fast_path_eligible(const npb::Kernel& kernel) const;
@@ -261,8 +290,9 @@ class SweepExecutor {
   int isolate_retries_;
   std::shared_ptr<obs::Observer> observer_;
   /// RunMatrix instances (each with its own Runtime + rank pool) are
-  /// leased per task and reused, so a sweep touches at most `jobs`
-  /// simulated clusters however large the grid is.
+  /// leased per task, armed with the leasing sweep's fault config, and
+  /// reused, so a sweep touches at most `jobs` simulated clusters
+  /// however large the grid is.
   std::mutex slots_mutex_;
   std::vector<std::unique_ptr<RunMatrix>> matrices_;
   std::vector<RunMatrix*> free_matrices_;

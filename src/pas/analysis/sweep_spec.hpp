@@ -51,7 +51,11 @@ struct SweepOptions {
   int jobs = 0;
   /// Directory for the persistent run cache; empty = in-memory only.
   std::string cache_dir;
-  /// Disables memoization entirely (every point re-simulates).
+  /// false disables the run cache: no record, ledger or checkpoint is
+  /// looked up or stored, so every point misses. A fast-path column
+  /// still records its ledger in memory for the task that runs it and
+  /// re-prices its other frequencies (DESIGN.md §10): --no-cache still
+  /// collapses frequencies.
   bool use_cache = true;
   /// Per-point retries of *transient* fault aborts (message loss, node
   /// failure, ...) before the point is recorded as failed. Each retry

@@ -110,6 +110,9 @@ class Runtime {
   /// fault schedule. Ignored when cfg.fault is disabled.
   void set_fault_attempt(int attempt) { fault_attempt_ = attempt; }
   int fault_attempt() const { return fault_attempt_; }
+  /// Fault injection for the next runs, replacing config().fault: one
+  /// Runtime serves sweeps under different fault configs.
+  void set_fault_config(const fault::FaultConfig& fault) { cfg_.fault = fault; }
 
  private:
   friend class Comm;

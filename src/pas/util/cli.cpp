@@ -1,6 +1,7 @@
 #include "pas/util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -106,14 +107,25 @@ std::vector<long> Cli::get_int_list(const std::string& name,
   if (it == options_.end() || it->second.empty()) return fallback;
   std::vector<long> out;
   const std::string& s = it->second;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
+  for (std::size_t pos = 0;;) {
     std::size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::strtol(s.substr(pos, comma - pos).c_str(), nullptr, 10));
+    const std::string item = s.substr(pos, comma - pos);
+    const auto bad = [&](const std::string& why) {
+      throw std::invalid_argument("--" + name + ": item " +
+                                  std::to_string(out.size() + 1) + " of \"" +
+                                  s + "\" " + why);
+    };
+    if (item.empty()) bad("is empty");
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(item.c_str(), &end, 10);
+    if (*end != '\0') bad("is not an integer: \"" + item + "\"");
+    if (errno == ERANGE) bad("is out of range");
+    out.push_back(value);
+    if (comma == s.size()) return out;
     pos = comma + 1;
   }
-  return out;
 }
 
 }  // namespace pas::util

@@ -37,7 +37,10 @@ class Cli {
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 
-  /// Comma-separated list of integers, e.g. --nodes 1,2,4,8,16.
+  /// Comma-separated list of integers, e.g. --nodes 1,2,4,8,16. Throws
+  /// std::invalid_argument naming the option and the item's position
+  /// when an item is empty ("1,,4", "4,"), not an integer ("600,x",
+  /// "1.5") or out of range.
   std::vector<long> get_int_list(const std::string& name,
                                  std::vector<long> fallback) const;
 

@@ -19,6 +19,7 @@
 
 #include "pas/analysis/experiment.hpp"
 #include "pas/analysis/sweep_executor.hpp"
+#include "pas/fault/fault.hpp"
 #include "pas/npb/kernel.hpp"
 #include "pas/obs/metrics.hpp"
 #include "pas/obs/observer.hpp"
@@ -335,6 +336,47 @@ TEST(IsolateSupervisor, HealthySweepMatchesInProcessRun) {
     expect_identical(re.records[i], want.records[i]);
   EXPECT_EQ(counter_value("sweep.isolated_columns") - columns_before, 2u);
   EXPECT_EQ(counter_value("sweep.points_resumed") - resumed_before, 4u);
+}
+
+// A batch with a fault-armed request: each isolated column's child
+// executor runs under its sweep's fault config, so the journaled
+// records (status and failure text included) equal the in-process
+// batch's byte for byte.
+TEST(IsolateSupervisor, FaultRequestInBatchMatchesInProcessBatch) {
+  const auto env = ExperimentEnv::small();
+  const auto kernel = make_kernel("FT", Scale::kSmall);
+  SweepRequest clean{kernel.get(), {1, 2}, {600, 1400}};
+  SweepRequest faulty = clean;
+  faulty.fault = fault::FaultConfig::scaled(0.05, 2);
+  const auto bytes = [](const RunRecord& rec) {
+    return RunCache::encode_record(rec) + run_status_name(rec.status) + "|" +
+           rec.error;
+  };
+
+  SweepSpec ref_spec;
+  ref_spec.cluster = env.cluster;
+  ref_spec.options.jobs = 2;
+  ref_spec.options.use_cache = false;
+  SweepExecutor reference(ref_spec);
+  const std::vector<MatrixResult> want = reference.run_all({clean, faulty});
+
+  SweepSpec spec = ref_spec;
+  spec.options.journal_path = temp_dir("isolate_fault") + "/sweep.journal";
+  spec.options.isolate = true;
+  spec.options.isolate_timeout_s = 120.0;
+  SweepExecutor exec(spec);
+  const std::vector<MatrixResult> got = exec.run_all({clean, faulty});
+  ASSERT_EQ(got.size(), 2u);
+  bool fault_shows = false;
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].records.size(), want[r].records.size());
+    for (std::size_t i = 0; i < want[r].records.size(); ++i) {
+      EXPECT_EQ(bytes(got[r].records[i]), bytes(want[r].records[i]));
+      fault_shows = fault_shows || bytes(want[1].records[i]) !=
+                                       bytes(want[0].records[i]);
+    }
+  }
+  EXPECT_TRUE(fault_shows);
 }
 
 TEST(IsolateSupervisor, CrashedColumnBecomesFailSoftRecords) {

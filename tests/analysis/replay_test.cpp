@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -263,6 +264,33 @@ std::uint64_t repriced_count() {
 
 std::uint64_t verified_count() {
   return obs::registry().counter("sweep.points_verified").value();
+}
+
+std::uint64_t mpi_runs() { return obs::registry().counter("mpi.runs").value(); }
+
+// A record as the sweep reports it: the cache encoding plus the
+// failure fields the cache never stores.
+std::string record_bytes(const RunRecord& rec) {
+  return RunCache::encode_record(rec) + run_status_name(rec.status) + "|" +
+         rec.error;
+}
+
+// The fault block of specs/ft_fault_split_small.json: on FT small at
+// 1400, 1000 and 600 MHz the fast heads survive and slow tail lanes
+// lose their node, so some lanes fall back to full simulation.
+fault::FaultConfig split_faults() {
+  fault::FaultConfig split;
+  split.seed = 42;
+  split.node_failure_prob = 0.5;
+  split.node_failure_window_s = 0.02;
+  return split;
+}
+
+std::size_t ledger_files(const std::string& dir) {
+  std::size_t n = 0;
+  for (const auto& f : std::filesystem::directory_iterator(dir))
+    if (f.path().extension() == ".ledger") ++n;
+  return n;
 }
 
 // The acceptance grid: all five kernels x two problem sizes x two rank
@@ -603,6 +631,67 @@ TEST(ReplayFastPath, FaultCountersTickPerPricedLane) {
   EXPECT_GT(value("fault.message_delays", kV) - delays0, 0u);
 }
 
+// One executor runs EP, FT and LU small, each clean, under
+// scaled(0.05, 2) and under a heavy drop/delay/straggler config, as one
+// batch. The ledger key ignores faults, so each (kernel, N) column
+// records once — the clean request's head — and its fault-armed twins
+// price every lane by replay, heads included. Records equal per-request
+// runs on executors configured with each fault, at --jobs 1 and 4.
+TEST(SweepExecutor, FaultRequestsShareOneRecording) {
+  const auto env = ExperimentEnv::small();
+  fault::FaultConfig heavy;
+  heavy.seed = 11;
+  heavy.straggler_fraction = 0.5;
+  heavy.message_delay_prob = 0.5;
+  heavy.message_drop_prob = 0.3;
+  heavy.max_send_attempts = 12;
+  const std::vector<std::optional<fault::FaultConfig>> faults{
+      std::nullopt, fault::FaultConfig::scaled(0.05, 2), heavy};
+  std::vector<std::unique_ptr<npb::Kernel>> kernels;
+  std::vector<SweepRequest> requests;
+  for (const char* name : {"EP", "FT", "LU"}) {
+    kernels.push_back(make_kernel(name, Scale::kSmall));
+    for (const std::optional<fault::FaultConfig>& f : faults) {
+      requests.push_back({kernels.back().get(), env.nodes, env.freqs_mhz});
+      requests.back().fault = f;
+    }
+  }
+
+  // The per-config path: one executor per fault config, its request
+  // carrying no fault of its own.
+  std::vector<std::string> want;
+  for (const SweepRequest& request : requests) {
+    sim::ClusterConfig cfg = env.cluster;
+    if (request.fault) cfg.fault = *request.fault;
+    SweepExecutor per_config = make_observed_executor(cfg, jobs(1));
+    SweepRequest plain = request;
+    plain.fault.reset();
+    for (const RunRecord& rec : per_config.run(plain).records) {
+      // No lane falls back here, so every simulation is a column head.
+      ASSERT_FALSE(rec.failed());
+      ASSERT_EQ(rec.attempts, 1);
+      want.push_back(record_bytes(rec));
+    }
+  }
+
+  for (int j : {1, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(j));
+    SweepExecutor exec = make_observed_executor(env.cluster, jobs(j));
+    const std::uint64_t runs0 = mpi_runs();
+    const std::vector<MatrixResult> got = exec.run_all(requests);
+    EXPECT_EQ(mpi_runs() - runs0, kernels.size() * env.nodes.size());
+    ASSERT_EQ(got.size(), requests.size());
+    std::size_t k = 0;
+    for (const MatrixResult& m : got) {
+      for (const RunRecord& rec : m.records) {
+        ASSERT_LT(k, want.size());
+        EXPECT_EQ(record_bytes(rec), want[k++]);
+      }
+    }
+    EXPECT_EQ(k, want.size());
+  }
+}
+
 // --verify-replay re-simulates every repriced point and compares the
 // two records through the cache encoding; on a clean grid it must pass
 // and count one verification per repriced point.
@@ -620,6 +709,89 @@ TEST(ReplayFastPath, VerifyReplayPassesOnCleanGrid) {
   const std::uint64_t repriced = repriced_count() - repriced0;
   EXPECT_EQ(repriced, 4u);  // 2 columns x 2 column-tail frequencies
   EXPECT_EQ(verified_count() - verified0, repriced);
+}
+
+// A column whose head fails every attempt still prices its tail: the
+// next miss records the ledger. With retries off, the slow heads lose
+// their node (the first death falls between the fast and slow
+// makespans), the first surviving frequency records, and the faster
+// ones after it are priced.
+TEST(ReplayFastPath, FailedHeadLeavesTheRecordingToTheNextMiss) {
+  const auto kernel = make_kernel("EP", Scale::kSmall);
+  const std::vector<double> freqs{600, 800, 1000, 1200, 1400};
+  sim::ClusterConfig cfg = sim::ClusterConfig::paper_testbed(4);
+  RunMatrix clean(cfg);
+  const double fast = clean.run_one(*kernel, 2, freqs.back()).seconds;
+  const double slow = clean.run_one(*kernel, 2, freqs.front()).seconds;
+  cfg.fault.seed = 3;
+  cfg.fault.node_failure_prob = 1.0;
+  const fault::FaultPlan unit(cfg.fault, 2);
+  const double first = std::min(unit.fail_time_s(0), unit.fail_time_s(1));
+  cfg.fault.node_failure_window_s = 0.5 * (slow + fast) / first;
+  SweepOptions opts = jobs(1);
+  opts.run_retries = 0;
+
+  const std::uint64_t before = repriced_count();
+  SweepExecutor executor = make_observed_executor(cfg, opts);
+  const MatrixResult result = executor.run({kernel.get(), {2}, freqs});
+  ASSERT_EQ(result.records.size(), freqs.size());
+  EXPECT_TRUE(result.records.front().failed());
+
+  SweepExecutor per_point = make_observed_executor(cfg, opts);
+  std::uint64_t priced = 0;
+  bool recorded = false;
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
+    SCOPED_TRACE("f=" + std::to_string(freqs[i]));
+    const RunRecord want = per_point.run_one(*kernel, 2, freqs[i]);
+    EXPECT_EQ(record_bytes(result.records[i]), record_bytes(want));
+    if (want.failed()) continue;
+    if (recorded)
+      ++priced;
+    else
+      recorded = true;
+  }
+  EXPECT_GT(priced, 0u);
+  EXPECT_EQ(repriced_count() - before, priced);
+}
+
+// The fault-split block next to a clean request of the same grid, in
+// one batch: the fault-armed columns price from the clean columns'
+// recordings, heads included, and lanes that would abort fall back to
+// full simulation with the sweep's retries. Status, error and attempts
+// equal per-point runs under each request's config.
+TEST(ReplayFastPath, AbortingLanesFallBackInAMixedBatch) {
+  const auto env = ExperimentEnv::small();
+  const auto kernel = make_kernel("FT", Scale::kSmall);
+  const std::vector<double> freqs{1400, 1000, 600};
+  SweepRequest clean{kernel.get(), env.nodes, freqs};
+  SweepRequest faulty = clean;
+  faulty.fault = split_faults();
+  SweepExecutor exec = make_observed_executor(env.cluster, jobs(2));
+  const std::vector<MatrixResult> got = exec.run_all({clean, faulty});
+  ASSERT_EQ(got.size(), 2u);
+
+  sim::ClusterConfig split_cfg = env.cluster;
+  split_cfg.fault = *faulty.fault;
+  std::size_t fell_back = 0;
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    SweepExecutor per_point =
+        make_observed_executor(r == 0 ? env.cluster : split_cfg, jobs(1));
+    std::size_t i = 0;
+    for (int n : env.nodes) {
+      for (double f : freqs) {
+        SCOPED_TRACE("request " + std::to_string(r) + " N=" +
+                     std::to_string(n) + " f=" + std::to_string(f));
+        const RunRecord want = per_point.run_one(*kernel, n, f);
+        const RunRecord& rec = got[r].records[i++];
+        EXPECT_EQ(rec.status, want.status);
+        EXPECT_EQ(rec.error, want.error);
+        EXPECT_EQ(rec.attempts, want.attempts);
+        EXPECT_EQ(RunCache::encode_record(rec), RunCache::encode_record(want));
+        if (want.failed() || want.attempts > 1) ++fell_back;
+      }
+    }
+  }
+  EXPECT_GT(fell_back, 0u);
 }
 
 TEST(ReplayFastPath, FromCliRejectsVerifyReplayWithNoCache) {
@@ -644,6 +816,85 @@ TEST(LedgerCache, KeyCollapsesFrequencyOnly) {
   EXPECT_NE(base, RunCache::ledger_key(*ep, cfg, 2, 600));
   EXPECT_NE(base, RunCache::ledger_key(
                       *ep, sim::ClusterConfig::paper_testbed(2), 2, 0));
+}
+
+// Faults never change the op stream, so a fault-armed cluster keys its
+// ledger like its clean twin, and the clean key keeps the full cluster
+// signature it always had (warm caches stay warm). Kernel, N,
+// comm-DVFS and node count still separate keys under faults.
+TEST(LedgerCache, KeyIgnoresFaultConfig) {
+  const auto clean = sim::ClusterConfig::paper_testbed(4);
+  sim::ClusterConfig armed = clean;
+  armed.fault = fault::FaultConfig::scaled(0.05, 2);
+  sim::ClusterConfig heavy = clean;
+  heavy.fault.seed = 11;
+  heavy.fault.straggler_fraction = 0.5;
+  heavy.fault.message_drop_prob = 0.3;
+  heavy.fault.node_failure_prob = 0.5;
+  const auto ep = make_kernel("EP", Scale::kSmall);
+  const auto ft = make_kernel("FT", Scale::kSmall);
+  const std::string base = RunCache::ledger_key(*ep, clean, 2, 0);
+  EXPECT_EQ(base.rfind("ledger-v5|" + ep->signature() + "|" +
+                           cluster_signature(clean) + "|N=2|",
+                       0),
+            0u);
+  EXPECT_EQ(base, RunCache::ledger_key(*ep, armed, 2, 0));
+  EXPECT_EQ(base, RunCache::ledger_key(*ep, heavy, 2, 0));
+  const std::string key = RunCache::ledger_key(*ep, armed, 2, 0);
+  EXPECT_NE(key, RunCache::ledger_key(*ft, armed, 2, 0));
+  EXPECT_NE(key, RunCache::ledger_key(*ep, armed, 4, 0));
+  EXPECT_NE(key, RunCache::ledger_key(*ep, armed, 2, 600));
+  sim::ClusterConfig two = sim::ClusterConfig::paper_testbed(2);
+  two.fault = armed.fault;
+  EXPECT_NE(key, RunCache::ledger_key(*ep, two, 2, 0));
+  // Record keys still separate fault configs.
+  const power::PowerModel power;
+  EXPECT_NE(RunCache::key(*ep, clean, power, 2, 600, 0),
+            RunCache::key(*ep, armed, power, 2, 600, 0));
+}
+
+// A clean sweep leaves one ledger per column on disk; a fault-armed
+// sweep of the same grid over that cache prices from them — it stores
+// no ledger of its own and simulates only the lanes that fall back
+// (each fallback runs as many attempts as its per-point run).
+TEST(LedgerCache, FaultArmedSweepPricesFromCleanLedgersOnDisk) {
+  const auto env = ExperimentEnv::small();
+  const auto kernel = make_kernel("FT", Scale::kSmall);
+  const std::vector<double> freqs{1400, 1000, 600};
+  const std::string dir = testing::TempDir() + "/pasim_ledger_fault_share";
+  std::filesystem::remove_all(dir);
+  SweepOptions opts = jobs(2);
+  opts.cache_dir = dir;
+  {
+    SweepExecutor clean = make_observed_executor(env.cluster, opts);
+    clean.run({kernel.get(), env.nodes, freqs});
+  }
+  ASSERT_EQ(ledger_files(dir), env.nodes.size());
+
+  sim::ClusterConfig cfg = env.cluster;
+  cfg.fault = split_faults();
+  SweepExecutor faulty = make_observed_executor(cfg, opts);
+  const std::uint64_t runs0 = mpi_runs();
+  const MatrixResult got = faulty.run({kernel.get(), env.nodes, freqs});
+  const std::uint64_t runs = mpi_runs() - runs0;
+  EXPECT_EQ(ledger_files(dir), env.nodes.size());
+
+  SweepOptions plain = jobs(1);
+  plain.use_cache = false;
+  SweepExecutor per_point = make_observed_executor(cfg, plain);
+  std::uint64_t fallback_runs = 0;
+  std::size_t i = 0;
+  for (int n : env.nodes) {
+    for (double f : freqs) {
+      SCOPED_TRACE("N=" + std::to_string(n) + " f=" + std::to_string(f));
+      const RunRecord want = per_point.run_one(*kernel, n, f);
+      EXPECT_EQ(record_bytes(got.records[i++]), record_bytes(want));
+      if (want.failed() || want.attempts > 1)
+        fallback_runs += static_cast<std::uint64_t>(want.attempts);
+    }
+  }
+  EXPECT_GT(fallback_runs, 0u);
+  EXPECT_EQ(runs, fallback_runs);
 }
 
 TEST(LedgerCache, DiskRoundTripReplaysIdentically) {

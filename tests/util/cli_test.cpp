@@ -68,6 +68,36 @@ TEST(Cli, IntList) {
   EXPECT_EQ(fallback[0], 3);
 }
 
+// A bad list item names the option and its 1-based position instead of
+// reading as 0 (which the sweep would report as a bogus node count).
+std::string int_list_error(const char* value) {
+  const Cli cli = make({"--nodes", value});
+  try {
+    cli.get_int_list("nodes", {});
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, IntListRejectsEmptyItems) {
+  EXPECT_EQ(int_list_error("1,,4"), "--nodes: item 2 of \"1,,4\" is empty");
+  EXPECT_EQ(int_list_error(","), "--nodes: item 1 of \",\" is empty");
+  EXPECT_EQ(int_list_error("4,"), "--nodes: item 2 of \"4,\" is empty");
+}
+
+TEST(Cli, IntListRejectsNonIntegerItems) {
+  EXPECT_EQ(int_list_error("600,x"),
+            "--nodes: item 2 of \"600,x\" is not an integer: \"x\"");
+  EXPECT_EQ(int_list_error("1.5"),
+            "--nodes: item 1 of \"1.5\" is not an integer: \"1.5\"");
+  EXPECT_EQ(int_list_error("2,4x"),
+            "--nodes: item 2 of \"2,4x\" is not an integer: \"4x\"");
+  EXPECT_EQ(int_list_error("99999999999999999999"),
+            "--nodes: item 1 of \"99999999999999999999\" is out of range");
+  EXPECT_EQ(int_list_error("1,-2"), "");  // signs parse; the sweep rejects -2
+}
+
 TEST(Cli, RequireKnownAcceptsListedFlags) {
   const Cli cli = make({"--nodes", "8", "--csv", "out.csv", "--small"});
   EXPECT_NO_THROW(cli.require_known({"nodes", "csv", "small", "jobs"}));
