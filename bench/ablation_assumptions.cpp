@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   cli.check_usage({"spec", "small", "nodes", "freqs"});
   const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli, "FT");
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
+  analysis::require_base_node(cli, env);
   const auto ft = analysis::make_spec_kernel(spec);
 
   std::puts("=== Ablation 1: Assumption 2 (w_PO^ON = 0) ===");

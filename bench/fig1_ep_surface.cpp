@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   // IS the EP figure, so from_cli pins the kernel after the merge.
   const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli, "EP");
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
+  analysis::require_base_node(cli, env);
   analysis::SweepExecutor executor(spec);
   const analysis::MatrixResult measured = executor.run();
 

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   cli.check_usage(known);
   const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli, "FT");
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
+  analysis::require_base_node(cli, env);
   analysis::SweepExecutor executor(spec);
   const analysis::MatrixResult measured = executor.run();
 

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   if (spec.nodes.empty() && spec.resolved_scale() == analysis::Scale::kPaper)
     spec.nodes = {1, 2, 4, 8};
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
+  analysis::require_base_node(cli, env);
   const auto lu = analysis::make_spec_kernel(spec);
   analysis::SweepExecutor executor(spec);
   const analysis::MatrixResult measured = executor.run();

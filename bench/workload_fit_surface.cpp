@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   cli.check_usage(known);
   const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
+  analysis::require_base_node(cli, env);
   const analysis::Scale scale = spec.resolved_scale();
 
   util::TextTable t(

@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   if (spec.freqs_mhz.empty()) spec.freqs_mhz = {600, 1000, 1400};
   const std::string name = spec.kernel;
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
+  analysis::require_base_node(cli, env);
   const std::vector<int>& nodes = env.nodes;
   const std::vector<double>& freqs = env.freqs_mhz;
 

@@ -97,6 +97,17 @@ for suite in BatchRepricer BatchedSweep ReplayFastPath LedgerCache; do
 done
 "$REPLAY_TESTS" \
   --gtest_filter='BatchRepricer.*:BatchedSweep.*:ReplayFastPath.*:LedgerCache.*'
+# Two processes running the same cache suites at once keep apart: each
+# test process has its own scratch directory (tests/test_scratch.hpp).
+TWIN_FILTER='LedgerCache.*:ReplayFastPath.*'
+"$REPLAY_TESTS" --gtest_filter="$TWIN_FILTER" > "$REPLAY_DIR/twin1.log" 2>&1 &
+TWIN_PID=$!
+"$REPLAY_TESTS" --gtest_filter="$TWIN_FILTER" > "$REPLAY_DIR/twin2.log" 2>&1 || {
+  echo "concurrent replay suites: second run failed"
+  cat "$REPLAY_DIR/twin2.log"; wait "$TWIN_PID" || true; exit 1; }
+wait "$TWIN_PID" || {
+  echo "concurrent replay suites: first run failed"
+  cat "$REPLAY_DIR/twin1.log"; exit 1; }
 # Cold vs warm ledger: the first run records one ledger per column;
 # deleting the .run records forces the second run to re-price every
 # point from the persisted ledgers (verified against full simulation
@@ -416,12 +427,14 @@ cmp "$SERVE_DIR/flags.csv" "$SERVE_DIR/spec.csv"
 # name and the reason on stderr, exit status 2 — not an abort.
 usage_error() {
   local bin="$1"; shift
+  local path="$ROOT/build/bench/$bin"
+  [ -x "$path" ] || path="$ROOT/build/examples/$bin"
+  [ -x "$path" ] || path="$ROOT/build/tools/$bin"
   set +e
-  "$ROOT/build/bench/$bin" "$@" >/dev/null 2>"$SERVE_DIR/usage.err"
+  "$path" "$@" >/dev/null 2>"$SERVE_DIR/usage.err"
   local rc=$?
   set -e
-  if [ "$rc" -ne 2 ] || ! grep -q "^$ROOT/build/bench/$bin: " \
-      "$SERVE_DIR/usage.err"; then
+  if [ "$rc" -ne 2 ] || ! grep -q "^$path: " "$SERVE_DIR/usage.err"; then
     echo "$bin $*: expected a usage error (exit 2), got rc=$rc:"
     cat "$SERVE_DIR/usage.err"; exit 1
   fi
@@ -433,6 +446,22 @@ grep -q 'item 1 of "," is empty' "$SERVE_DIR/usage.err" || {
   echo "--nodes , must name the empty item:"; cat "$SERVE_DIR/usage.err"
   exit 1; }
 usage_error fig2_ft_surface --small --retries -1
+# Eq 1 divides by T_1: every binary that prints speedups rejects a grid
+# without N=1 before it runs (exit 2, so no abort on a signal), and
+# pasim_client does when --out asks for the speedup CSV.
+no_base_node() {
+  usage_error "$@" --small --nodes 2,4
+  grep -q 'has no N=1' "$SERVE_DIR/usage.err" || {
+    echo "$1: the usage error must name the missing N=1:"
+    cat "$SERVE_DIR/usage.err"; exit 1; }
+}
+for bin in ablation_assumptions dvfs_explorer fig1_ep_surface \
+    fig2_ft_surface table1_amdahl_errors table3_ft_sp_errors \
+    table7_lu_fp_sp_errors workload_fit_surface; do
+  no_base_node "$bin"
+done
+no_base_node full_report --out "$SERVE_DIR/usage_out"
+no_base_node pasim_client --out "$SERVE_DIR/usage_out"
 # Shape checks read the axes' extremes, not their ends: a descending
 # frequency axis prints the ascending run's shape verdicts.
 ./build/bench/fig2_ft_surface --small --no-cache --freqs 600,1000,1400 |

@@ -5,6 +5,7 @@
 
 #include "pas/analysis/sweep_executor.hpp"
 #include "pas/mpi/runtime.hpp"
+#include "pas/util/cli.hpp"
 #include "pas/util/format.hpp"
 
 namespace pas::analysis {
@@ -99,6 +100,15 @@ ExperimentEnv env_for_spec(const SweepSpec& spec) {
   env.freqs_mhz = spec.resolved_freqs();
   env.base_f_mhz = spec.base_f_mhz();
   return env;
+}
+
+void require_base_node(const util::Cli& cli, const ExperimentEnv& env) {
+  if (std::find(env.nodes.begin(), env.nodes.end(), 1) != env.nodes.end())
+    return;
+  std::vector<std::string> nodes;
+  for (int n : env.nodes) nodes.push_back(std::to_string(n));
+  cli.usage_error("nodes: the grid " + util::join(nodes, ",") +
+                  " has no N=1, the base every speedup divides by (Eq 1)");
 }
 
 core::LevelWorkload to_level_workload(

@@ -20,6 +20,10 @@
 #include "pas/tools/membench.hpp"
 #include "pas/tools/msgbench.hpp"
 
+namespace pas::util {
+class Cli;
+}
+
 namespace pas::analysis {
 
 class SweepExecutor;
@@ -57,6 +61,11 @@ std::unique_ptr<npb::Kernel> make_spec_kernel(const SweepSpec& spec);
 /// smallest frequency — the default grids keep the paper's 600 MHz
 /// base point).
 ExperimentEnv env_for_spec(const SweepSpec& spec);
+
+/// Eq 1 divides by T_1, so a binary that prints speedups needs N=1 on
+/// its node axis. Without it this is a usage error (Cli::usage_error,
+/// exit status 2) naming the missing N=1, before anything runs.
+void require_base_node(const util::Cli& cli, const ExperimentEnv& env);
 
 /// Adapters between substrate outputs and core-model inputs (the core
 /// library deliberately does not link against counters/tools).

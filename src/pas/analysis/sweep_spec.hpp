@@ -114,7 +114,7 @@ struct SweepOptions {
   bool checkpoints = false;
 
   /// Bench/example configuration: `--jobs N` (default: $PASIM_JOBS,
-  /// then hardware concurrency), `--cache [dir]` (default dir
+  /// then the cores in the affinity mask), `--cache [dir]` (default dir
   /// `.pasim_cache`; or $PASIM_CACHE_DIR), `--no-cache`,
   /// `--retries N`, `--verify-replay`, `--journal [file]` (default
   /// `pasim_sweep.journal`), `--resume`, `--isolate`,

@@ -26,6 +26,9 @@ constexpr double kStencilRefs = 11.0;
 constexpr double kStreamRefs = 2.0;
 constexpr double kRegOps = 12.0;
 
+/// Rows of a plane one skewed sweep group keeps in flight (sweep_plane).
+constexpr int kRowGroup = 8;
+
 struct Tile {
   int n;             ///< global interior points per dimension
   int px, py;        ///< processor grid
@@ -33,9 +36,13 @@ struct Tile {
   int tx, ty;        ///< interior tile extent in x and y
   int X, Y, Z;       ///< padded local extents (tx+2, ty+2, n+2)
 
+  /// Plane-major: a k-plane is X rows of Y points, so a point's i and
+  /// j neighbours are Y and 1 doubles away and its k neighbours one
+  /// plane away.
   std::size_t idx(int i, int j, int k) const {
-    return (static_cast<std::size_t>(i) * Y + j) * Z + k;
+    return (static_cast<std::size_t>(k) * X + i) * Y + j;
   }
+  std::ptrdiff_t plane() const { return static_cast<std::ptrdiff_t>(X) * Y; }
   int rank_of(int qi, int qj) const { return qi * py + qj; }
   int west() const { return rank_of(pi - 1, pj); }
   int east() const { return rank_of(pi + 1, pj); }
@@ -46,6 +53,76 @@ struct Tile {
   bool has_north() const { return pj > 0; }
   bool has_south() const { return pj < py - 1; }
 };
+
+/// One SSOR point update at flat offset p: the reference expression,
+/// operands in (i-1, i+1, j-1, j+1, k-1, k+1) order.
+struct Relax {
+  double* u;
+  const double* rhs;
+  std::ptrdiff_t Y, P;  ///< row and plane strides
+  double h2, omega;
+
+  void operator()(std::ptrdiff_t p) const {
+    const double gs = (u[p - Y] + u[p + Y] + u[p - 1] + u[p + 1] +
+                       u[p - P] + u[p + P] + h2 * rhs[p]) /
+                      6.0;
+    u[p] = (1.0 - omega) * u[p] + omega * gs;
+  }
+};
+
+/// Sweeps one k-plane in Gauss-Seidel order: rows a = 0..rows-1, and
+/// within a row columns b = 0..cols-1, point (a, b) at flat offset
+/// origin + Dir*(a*Y + b). Dir = +1 is the lower sweep from (1, 1),
+/// Dir = -1 the upper sweep from (tx, ty). Rows run in groups of
+/// kRowGroup, each row one column behind the row before, so the
+/// points of one step lie on an anti-diagonal and none reads another.
+/// Each point still reads (a-1, b) and (a, b-1) already updated and
+/// (a+1, b) and (a, b+1) not yet — the reference order's operands —
+/// so every value is bit-identical, while the group's divides overlap
+/// instead of each row waiting on its left neighbour's.
+template <int Dir>
+void sweep_plane(const Relax& relax, std::ptrdiff_t origin, int rows,
+                 int cols) {
+  const std::ptrdiff_t skew = relax.Y - 1;  // next row, one column back
+  const int grouped = cols >= kRowGroup ? rows - rows % kRowGroup : 0;
+  for (int a0 = 0; a0 < grouped; a0 += kRowGroup) {
+    // Step s runs row r of the group at column s - r.
+    const std::ptrdiff_t base = origin + Dir * (a0 * relax.Y);
+    const auto diagonal = [&](int s, int r_lo, int r_hi) {
+      for (int r = r_lo; r <= r_hi; ++r) relax(base + Dir * (s + r * skew));
+    };
+    for (int s = 0; s < kRowGroup - 1; ++s) diagonal(s, 0, s);
+    for (int s = kRowGroup - 1; s < cols; ++s) {
+      const std::ptrdiff_t p = base + Dir * s;
+#pragma GCC unroll kRowGroup
+      for (int r = 0; r < kRowGroup; ++r) relax(p + Dir * (r * skew));
+    }
+    for (int s = cols; s < cols + kRowGroup - 1; ++s)
+      diagonal(s, s - cols + 1, kRowGroup - 1);
+  }
+  for (int a = grouped; a < rows; ++a)
+    for (int b = 0; b < cols; ++b) relax(origin + Dir * (a * relax.Y + b));
+}
+
+/// Checkpoint blobs carry u in (i, j, k) order with k fastest, whatever
+/// the in-memory layout: the blob format stays the one `ckpt-v5`
+/// entries on disk were written in.
+std::vector<double> to_ijk(const Tile& t, const std::vector<double>& u) {
+  std::vector<double> out;
+  out.reserve(u.size());
+  for (int i = 0; i < t.X; ++i)
+    for (int j = 0; j < t.Y; ++j)
+      for (int k = 0; k < t.Z; ++k) out.push_back(u[t.idx(i, j, k)]);
+  return out;
+}
+
+void from_ijk(const Tile& t, const std::vector<double>& in,
+              std::vector<double>& u) {
+  std::size_t p = 0;
+  for (int i = 0; i < t.X; ++i)
+    for (int j = 0; j < t.Y; ++j)
+      for (int k = 0; k < t.Z; ++k) u[t.idx(i, j, k)] = in[p++];
+}
 
 /// Charges the stencil work of one k-plane of the tile.
 void charge_plane(mpi::Comm& comm, const Tile& t, std::size_t array_bytes) {
@@ -198,6 +275,10 @@ KernelResult LuKernel::run_ctl(mpi::Comm& comm,
                     30.0 * static_cast<double>(cfg_.n) * t.tx * t.ty);
   }
 
+  const Relax relax{u.data(), rhs.data(), t.Y, t.plane(), h2, omega};
+  // Squared residual terms of one i-row, at their (j, k) positions.
+  std::vector<double> sq(static_cast<std::size_t>(t.ty) * t.n);
+
   auto residual_rms = [&]() -> double {
     // Refresh west/north ghosts with post-sweep values (east/south
     // ghosts were filled by the upper pipeline or the face exchange).
@@ -206,20 +287,25 @@ KernelResult LuKernel::run_ctl(mpi::Comm& comm,
     if (t.has_west()) unpack_x_column(t, u, 0, comm.recv(t.west(), kTagResidEW));
     if (t.has_north()) unpack_y_row(t, u, 0, comm.recv(t.north(), kTagResidNS));
 
+    // The sum keeps its (i, j, k) order, so every bit of the residual
+    // holds: each i-row's terms are evaluated plane by plane (unit
+    // stride in u), stored at their (j, k) position, then added in
+    // that order.
+    const std::ptrdiff_t Y = t.Y, P = t.plane();
     double sumsq = 0.0;
     for (int i = 1; i <= t.tx; ++i) {
-      for (int j = 1; j <= t.ty; ++j) {
-        for (int k = 1; k <= t.n; ++k) {
-          const double lap =
-              (6.0 * u[t.idx(i, j, k)] - u[t.idx(i - 1, j, k)] -
-               u[t.idx(i + 1, j, k)] - u[t.idx(i, j - 1, k)] -
-               u[t.idx(i, j + 1, k)] - u[t.idx(i, j, k - 1)] -
-               u[t.idx(i, j, k + 1)]) /
-              h2;
-          const double r = rhs[t.idx(i, j, k)] - lap;
-          sumsq += r * r;
+      for (int k = 1; k <= t.n; ++k) {
+        const std::ptrdiff_t row = static_cast<std::ptrdiff_t>(t.idx(i, 0, k));
+        for (int j = 1; j <= t.ty; ++j) {
+          const std::ptrdiff_t p = row + j;
+          const double lap = (6.0 * u[p] - u[p - Y] - u[p + Y] - u[p - 1] -
+                              u[p + 1] - u[p - P] - u[p + P]) /
+                             h2;
+          const double r = rhs[p] - lap;
+          sq[static_cast<std::size_t>(j - 1) * t.n + (k - 1)] = r * r;
         }
       }
+      for (const double v : sq) sumsq += v;
     }
     for (int k = 1; k <= t.n; ++k) charge_plane(comm, t, array_bytes);
     const double total = comm.allreduce_sum(sumsq);
@@ -242,9 +328,11 @@ KernelResult LuKernel::run_ctl(mpi::Comm& comm,
     if (!in.get_int(&nres) || nres != ctl.start_iter + 1)
       throw std::runtime_error("LU: malformed checkpoint blob");
     residuals.assign(static_cast<std::size_t>(nres), 0.0);
+    std::vector<double> ijk(u.size());
     if (!in.get_doubles(residuals.data(), residuals.size()) ||
-        !in.get_doubles(u.data(), u.size()))
+        !in.get_doubles(ijk.data(), ijk.size()))
       throw std::runtime_error("LU: truncated checkpoint blob");
+    from_ijk(t, ijk, u);
   }
   for (std::size_t i = 0; i < residuals.size(); ++i)
     result.values[pas::util::strf("residual_%d", static_cast<int>(i))] =
@@ -272,22 +360,8 @@ KernelResult LuKernel::run_ctl(mpi::Comm& comm,
         const mpi::Payload row = comm.recv(t.north(), kTagLowerNS);
         for (int i = 1; i <= t.tx; ++i) u[t.idx(i, 0, k)] = row[static_cast<std::size_t>(i - 1)];
       }
-      // i outer / j inner: within a fixed-k plane the j stride is Z
-      // doubles vs Y*Z for i, so this order walks memory ~Y times
-      // denser. A point reads already-updated (i-1,j) and (i,j-1) in
-      // either nesting, so the Gauss-Seidel values are unchanged.
-      for (int i = 1; i <= t.tx; ++i) {
-        for (int j = 1; j <= t.ty; ++j) {
-          const double gs =
-              (u[t.idx(i - 1, j, k)] + u[t.idx(i + 1, j, k)] +
-               u[t.idx(i, j - 1, k)] + u[t.idx(i, j + 1, k)] +
-               u[t.idx(i, j, k - 1)] + u[t.idx(i, j, k + 1)] +
-               h2 * rhs[t.idx(i, j, k)]) /
-              6.0;
-          u[t.idx(i, j, k)] =
-              (1.0 - omega) * u[t.idx(i, j, k)] + omega * gs;
-        }
-      }
+      sweep_plane<+1>(relax, static_cast<std::ptrdiff_t>(t.idx(1, 1, k)),
+                      t.tx, t.ty);
       charge_plane(comm, t, array_bytes);
       if (t.has_east()) {
         mpi::Payload col(static_cast<std::size_t>(t.ty));
@@ -311,20 +385,10 @@ KernelResult LuKernel::run_ctl(mpi::Comm& comm,
         const mpi::Payload row = comm.recv(t.south(), kTagUpperNS);
         for (int i = 1; i <= t.tx; ++i) u[t.idx(i, t.ty + 1, k)] = row[static_cast<std::size_t>(i - 1)];
       }
-      // Mirror of the lower sweep: descending reads already-updated
-      // (i+1,j) and (i,j+1) under either nesting.
-      for (int i = t.tx; i >= 1; --i) {
-        for (int j = t.ty; j >= 1; --j) {
-          const double gs =
-              (u[t.idx(i - 1, j, k)] + u[t.idx(i + 1, j, k)] +
-               u[t.idx(i, j - 1, k)] + u[t.idx(i, j + 1, k)] +
-               u[t.idx(i, j, k - 1)] + u[t.idx(i, j, k + 1)] +
-               h2 * rhs[t.idx(i, j, k)]) /
-              6.0;
-          u[t.idx(i, j, k)] =
-              (1.0 - omega) * u[t.idx(i, j, k)] + omega * gs;
-        }
-      }
+      // Mirror of the lower sweep: descending from (tx, ty).
+      sweep_plane<-1>(relax,
+                      static_cast<std::ptrdiff_t>(t.idx(t.tx, t.ty, k)),
+                      t.tx, t.ty);
       charge_plane(comm, t, array_bytes);
       if (t.has_west()) {
         mpi::Payload col(static_cast<std::size_t>(t.ty));
@@ -347,7 +411,8 @@ KernelResult LuKernel::run_ctl(mpi::Comm& comm,
       out.put_int(iter);
       out.put_int(static_cast<long long>(residuals.size()));
       out.put_doubles(residuals.data(), residuals.size());
-      out.put_doubles(u.data(), u.size());
+      const std::vector<double> ijk = to_ijk(t, u);
+      out.put_doubles(ijk.data(), ijk.size());
       (*ctl.save)[static_cast<std::size_t>(comm.rank())] = out.take();
       result.note = pas::util::strf("LU truncated at iteration %d", iter);
       return result;

@@ -1,5 +1,7 @@
 #include "pas/util/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace pas::util {
@@ -70,8 +72,10 @@ void ThreadPool::worker_loop() {
 }
 
 int ThreadPool::default_jobs() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  return std::max(1, CPU_COUNT(&set));
 }
 
 }  // namespace pas::util

@@ -65,7 +65,8 @@ class ThreadPool {
     return future;
   }
 
-  /// Pool size for "use the machine": hardware_concurrency, at least 1.
+  /// Pool size for "use the machine": the cores in this process's CPU
+  /// affinity mask (so `taskset` narrows it), at least 1.
   static int default_jobs();
 
  private:

@@ -27,6 +27,7 @@
 #include "pas/sim/checkpoint.hpp"
 #include "pas/sim/sampling.hpp"
 #include "pas/sim/trace.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::analysis {
 namespace {
@@ -150,7 +151,7 @@ TEST(CheckpointRoundTrip, TraceEventsSpliceToTheColdRun) {
 // quarantines it to `<file>.bad` and falls back to the next-deepest
 // boundary — across a process restart (fresh RunCache on the same dir).
 TEST(CheckpointRoundTrip, CorruptCheckpointQuarantinedFallsBackShallower) {
-  const std::string dir = testing::TempDir() + "/pasim_ckpt_quarantine";
+  const std::string dir = pas::test::scratch_path("pasim_ckpt_quarantine");
   fs::remove_all(dir);
   const auto cfg = sim::ClusterConfig::paper_testbed(2);
   const auto kernel = make_kernel("FT", Scale::kSmall);
@@ -388,7 +389,7 @@ TEST(SweepSampling, SampledGridCoversExactRunsWithinCi) {
 // exact: the warm-started record carries the cold run's bytes, and the
 // cache directory accumulates one checkpoint per iteration depth.
 TEST(SweepCheckpoint, WarmStartedDeepRunMatchesColdBytes) {
-  const std::string dir = testing::TempDir() + "/pasim_warmstart_bytes";
+  const std::string dir = pas::test::scratch_path("pasim_warmstart_bytes");
   fs::remove_all(dir);
   const auto cfg = sim::ClusterConfig::paper_testbed(2);
   const auto base = make_kernel("FT", Scale::kSmall);

@@ -18,13 +18,14 @@
 #include <vector>
 
 #include "pas/util/fs.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::analysis {
 namespace {
 
 std::string temp_dir(const std::string& name) {
   const std::string dir =
-      testing::TempDir() + "/pasim_column_supervisor/" + name;
+      pas::test::scratch_path("pasim_column_supervisor/" + name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

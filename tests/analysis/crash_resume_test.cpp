@@ -26,12 +26,13 @@
 #include "pas/util/cli.hpp"
 #include "pas/util/fs.hpp"
 #include "pas/util/subprocess.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::analysis {
 namespace {
 
 std::string temp_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/pasim_crash_resume/" + name;
+  const std::string dir = pas::test::scratch_path("pasim_crash_resume/" + name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

@@ -28,6 +28,7 @@
 #include "pas/analysis/run_matrix.hpp"
 #include "pas/analysis/sweep_executor.hpp"
 #include "pas/fault/fault.hpp"
+#include "pas/mpi/runtime.hpp"
 #include "pas/npb/cg.hpp"
 #include "pas/npb/ep.hpp"
 #include "pas/npb/ft.hpp"
@@ -37,6 +38,8 @@
 #include "pas/obs/observer.hpp"
 #include "pas/sim/trace.hpp"
 #include "pas/util/cli.hpp"
+#include "pas/util/fs.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::analysis {
 namespace {
@@ -861,7 +864,7 @@ TEST(LedgerCache, FaultArmedSweepPricesFromCleanLedgersOnDisk) {
   const auto env = ExperimentEnv::small();
   const auto kernel = make_kernel("FT", Scale::kSmall);
   const std::vector<double> freqs{1400, 1000, 600};
-  const std::string dir = testing::TempDir() + "/pasim_ledger_fault_share";
+  const std::string dir = pas::test::scratch_path("pasim_ledger_fault_share");
   std::filesystem::remove_all(dir);
   SweepOptions opts = jobs(2);
   opts.cache_dir = dir;
@@ -900,7 +903,7 @@ TEST(LedgerCache, FaultArmedSweepPricesFromCleanLedgersOnDisk) {
 TEST(LedgerCache, DiskRoundTripReplaysIdentically) {
   const auto cfg = sim::ClusterConfig::paper_testbed(2);
   const auto kernel = make_kernel("FT", Scale::kSmall);
-  const std::string dir = testing::TempDir() + "/pasim_ledger_roundtrip";
+  const std::string dir = pas::test::scratch_path("pasim_ledger_roundtrip");
   std::filesystem::remove_all(dir);
 
   RunMatrix matrix(cfg);
@@ -934,7 +937,7 @@ TEST(LedgerCache, DiskRoundTripReplaysIdentically) {
 TEST(LedgerCache, CorruptLedgerIsQuarantinedAndMisses) {
   const auto cfg = sim::ClusterConfig::paper_testbed(2);
   const auto kernel = make_kernel("EP", Scale::kSmall);
-  const std::string dir = testing::TempDir() + "/pasim_ledger_quarantine";
+  const std::string dir = pas::test::scratch_path("pasim_ledger_quarantine");
   std::filesystem::remove_all(dir);
   const std::string key = RunCache::ledger_key(*kernel, cfg, 2, 0);
 
@@ -966,7 +969,7 @@ TEST(LedgerCache, CorruptLedgerIsQuarantinedAndMisses) {
 TEST(LedgerCache, TruncatedArenaIsQuarantined) {
   const auto cfg = sim::ClusterConfig::paper_testbed(2);
   const auto kernel = make_kernel("FT", Scale::kSmall);
-  const std::string dir = testing::TempDir() + "/pasim_ledger_truncated";
+  const std::string dir = pas::test::scratch_path("pasim_ledger_truncated");
   std::filesystem::remove_all(dir);
   const std::string key = RunCache::ledger_key(*kernel, cfg, 2, 0);
 
@@ -990,6 +993,26 @@ TEST(LedgerCache, TruncatedArenaIsQuarantined) {
   RunCache reader(dir);
   EXPECT_EQ(reader.lookup_ledger(key), nullptr);
   EXPECT_TRUE(std::filesystem::exists(entry.string() + ".bad"));
+}
+
+// LU's charges, message sizes and tags are pinned across builds: the
+// ledger of LU n=20 on 4 ranks encodes to the bytes recorded from the
+// k-fastest layout and its plain i/j sweep loops.
+TEST(LedgerCache, LuLedgerBytesPinned) {
+  npb::LuConfig cfg;
+  cfg.n = 20;
+  cfg.iterations = 2;
+  mpi::Runtime rt(sim::ClusterConfig::paper_testbed(16));
+  rt.ledger_recorder().begin(4, 0.0);
+  bool verified = false;
+  rt.run(4, 1000, [&](mpi::Comm& comm) {
+    const npb::KernelResult r = npb::LuKernel(cfg).run(comm);
+    if (comm.rank() == 0) verified = r.verified;
+  });
+  sim::WorkLedger ledger = rt.ledger_recorder().take();
+  ledger.verified = verified;
+  EXPECT_EQ(util::fnv1a(RunCache::encode_ledger(ledger)),
+            0x0fdecc3fd467a543ULL);
 }
 
 TEST(LedgerCache, NonReplayableLedgerIsNeverStored) {

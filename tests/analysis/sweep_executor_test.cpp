@@ -15,6 +15,7 @@
 #include "pas/analysis/experiment.hpp"
 #include "pas/analysis/run_matrix.hpp"
 #include "pas/util/cli.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::analysis {
 namespace {
@@ -235,7 +236,7 @@ TEST(SweepExecutor, DiskCacheRoundTripsRecordsExactly) {
   const auto cfg = sim::ClusterConfig::paper_testbed(2);
   const auto kernel = make_kernel("FT", Scale::kSmall);
   const std::string dir =
-      testing::TempDir() + "/pasim_sweep_cache_test";
+      pas::test::scratch_path("pasim_sweep_cache_test");
   std::filesystem::remove_all(dir);  // stale entries from earlier runs
 
   SweepOptions warm = jobs(1);
@@ -258,7 +259,7 @@ TEST(SweepExecutor, DiskCacheRoundTripsRecordsExactly) {
 TEST(SweepExecutor, CorruptDiskEntryIsQuarantinedAndResimulated) {
   const auto cfg = sim::ClusterConfig::paper_testbed(2);
   const auto kernel = make_kernel("EP", Scale::kSmall);
-  const std::string dir = testing::TempDir() + "/pasim_quarantine_test";
+  const std::string dir = pas::test::scratch_path("pasim_quarantine_test");
   std::filesystem::remove_all(dir);
 
   SweepOptions opts = jobs(1);
@@ -293,7 +294,7 @@ TEST(SweepExecutor, CorruptDiskEntryIsQuarantinedAndResimulated) {
 TEST(SweepExecutor, FilenameCollisionMissesWithoutQuarantine) {
   const auto cfg = sim::ClusterConfig::paper_testbed(2);
   const auto kernel = make_kernel("EP", Scale::kSmall);
-  const std::string dir = testing::TempDir() + "/pasim_collision_test";
+  const std::string dir = pas::test::scratch_path("pasim_collision_test");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 

@@ -13,6 +13,7 @@
 
 #include "pas/analysis/sweep_journal.hpp"
 #include "pas/util/format.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::analysis {
 namespace {
@@ -31,7 +32,7 @@ std::string key_of(int i) { return pas::util::strf("v5|point-%d", i); }
 
 TEST(SweepJournalConcurrency, ReadersRefreshAndFindWhileAnotherHandleAppends) {
   const std::string dir =
-      testing::TempDir() + "/pasim_journal_concurrency_test";
+      pas::test::scratch_path("pasim_journal_concurrency_test");
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/shared.journal";
   std::filesystem::remove(path);

@@ -9,12 +9,13 @@
 #include "pas/util/format.hpp"
 #include "pas/util/fs.hpp"
 #include "pas/util/subprocess.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::analysis {
 namespace {
 
 std::string temp_journal(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/pasim_journal_test";
+  const std::string dir = pas::test::scratch_path("pasim_journal_test");
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/" + name;
   std::filesystem::remove(path);

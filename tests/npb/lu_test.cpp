@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "pas/mpi/runtime.hpp"
 #include "pas/util/format.hpp"
+#include "pas/util/fs.hpp"
 
 namespace pas::npb {
 namespace {
@@ -128,6 +133,158 @@ TEST(Lu, OnChipDominatedWorkload) {
   });
   const sim::InstructionMix& mix = run.ranks[0].executed;
   EXPECT_GT(mix.on_chip() / mix.total(), 0.95);
+}
+
+// Tile-shape goldens: exact KernelResult values (hexfloat) recorded
+// from the k-fastest layout and its plain i/j sweep loops. n=96 is the
+// paper's grid at every node count; n=20 gives 20x20, 10x20, 10x10,
+// 5x10 and 5x5 tiles and n=12 on 16 ranks 3x3 tiles, so partial row
+// groups and tiles narrower than a group are pinned too.
+struct LuGoldenCase {
+  int n;
+  int iterations;
+  int nranks;
+  bool verified;
+  std::map<std::string, double> values;
+};
+
+void PrintTo(const LuGoldenCase& c, std::ostream* os) {
+  *os << "LU n=" << c.n << " on " << c.nranks << " ranks";
+}
+
+const std::vector<LuGoldenCase>& lu_goldens() {
+  static const std::vector<LuGoldenCase> table = {
+    {96, 8, 1, false,
+     {{"error_inf", 0x1.d1d9f5c639f8ap-1},
+      {"residual_0", 0x1.543bb56767dd6p+3},
+      {"residual_1", 0x1.5069cb34cabe8p+3},
+      {"residual_2", 0x1.4c78f60fce58cp+3},
+      {"residual_3", 0x1.48952a3c6611ep+3},
+      {"residual_4", 0x1.44bd81ed16ep+3},
+      {"residual_5", 0x1.40f192ced346dp+3},
+      {"residual_6", 0x1.3d311c9fdeb67p+3},
+      {"residual_7", 0x1.397befb4a1dfcp+3},
+      {"residual_8", 0x1.35d1e3b6e7c27p+3}}},
+    {96, 8, 2, false,
+     {{"error_inf", 0x1.d1d9f5c639f8ap-1},
+      {"residual_0", 0x1.543bb56767c07p+3},
+      {"residual_1", 0x1.5069cb34cad41p+3},
+      {"residual_2", 0x1.4c78f60fce548p+3},
+      {"residual_3", 0x1.48952a3c660e1p+3},
+      {"residual_4", 0x1.44bd81ed16d8ap+3},
+      {"residual_5", 0x1.40f192ced33c8p+3},
+      {"residual_6", 0x1.3d311c9fde9e6p+3},
+      {"residual_7", 0x1.397befb4a1d3cp+3},
+      {"residual_8", 0x1.35d1e3b6e7c01p+3}}},
+    {96, 8, 4, false,
+     {{"error_inf", 0x1.d1d9f5c639f8ap-1},
+      {"residual_0", 0x1.543bb56767c82p+3},
+      {"residual_1", 0x1.5069cb34cada1p+3},
+      {"residual_2", 0x1.4c78f60fce535p+3},
+      {"residual_3", 0x1.48952a3c6610bp+3},
+      {"residual_4", 0x1.44bd81ed16d81p+3},
+      {"residual_5", 0x1.40f192ced33cbp+3},
+      {"residual_6", 0x1.3d311c9fde9dap+3},
+      {"residual_7", 0x1.397befb4a1d6p+3},
+      {"residual_8", 0x1.35d1e3b6e7c12p+3}}},
+    {96, 8, 8, false,
+     {{"error_inf", 0x1.d1d9f5c639f8ap-1},
+      {"residual_0", 0x1.543bb56767d11p+3},
+      {"residual_1", 0x1.5069cb34cad6bp+3},
+      {"residual_2", 0x1.4c78f60fce533p+3},
+      {"residual_3", 0x1.48952a3c6611p+3},
+      {"residual_4", 0x1.44bd81ed16d85p+3},
+      {"residual_5", 0x1.40f192ced33d3p+3},
+      {"residual_6", 0x1.3d311c9fde9d1p+3},
+      {"residual_7", 0x1.397befb4a1d1dp+3},
+      {"residual_8", 0x1.35d1e3b6e7c29p+3}}},
+    {96, 8, 16, false,
+     {{"error_inf", 0x1.d1d9f5c639f8ap-1},
+      {"residual_0", 0x1.543bb56767d03p+3},
+      {"residual_1", 0x1.5069cb34cad71p+3},
+      {"residual_2", 0x1.4c78f60fce539p+3},
+      {"residual_3", 0x1.48952a3c66102p+3},
+      {"residual_4", 0x1.44bd81ed16d87p+3},
+      {"residual_5", 0x1.40f192ced33b6p+3},
+      {"residual_6", 0x1.3d311c9fde9c9p+3},
+      {"residual_7", 0x1.397befb4a1d1fp+3},
+      {"residual_8", 0x1.35d1e3b6e7c2cp+3}}},
+    {20, 2, 1, true,
+     {{"error_inf", 0x1.4cd69f7aa957fp-1},
+      {"residual_0", 0x1.686bbe4b116dp+3},
+      {"residual_1", 0x1.2f03c303891d7p+3},
+      {"residual_2", 0x1.ee1421cf927fap+2}}},
+    {20, 2, 2, true,
+     {{"error_inf", 0x1.4cd69f7aa957fp-1},
+      {"residual_0", 0x1.686bbe4b116dep+3},
+      {"residual_1", 0x1.2f03c303891bfp+3},
+      {"residual_2", 0x1.ee1421cf92805p+2}}},
+    {20, 2, 4, true,
+     {{"error_inf", 0x1.4cd69f7aa957fp-1},
+      {"residual_0", 0x1.686bbe4b116e5p+3},
+      {"residual_1", 0x1.2f03c303891c7p+3},
+      {"residual_2", 0x1.ee1421cf927f6p+2}}},
+    {20, 2, 8, true,
+     {{"error_inf", 0x1.4cd69f7aa957fp-1},
+      {"residual_0", 0x1.686bbe4b116e6p+3},
+      {"residual_1", 0x1.2f03c303891c7p+3},
+      {"residual_2", 0x1.ee1421cf927f3p+2}}},
+    {20, 2, 16, true,
+     {{"error_inf", 0x1.4cd69f7aa957fp-1},
+      {"residual_0", 0x1.686bbe4b116e8p+3},
+      {"residual_1", 0x1.2f03c303891c8p+3},
+      {"residual_2", 0x1.ee1421cf927f4p+2}}},
+    {12, 2, 16, true,
+     {{"error_inf", 0x1.9f2d399f9811cp-2},
+      {"residual_0", 0x1.79b8223ac2e17p+3},
+      {"residual_1", 0x1.10ae8ded3eeep+3},
+      {"residual_2", 0x1.70d7a79412eep+2}}},
+  };
+  return table;
+}
+
+class LuTileGolden : public ::testing::TestWithParam<LuGoldenCase> {};
+
+TEST_P(LuTileGolden, BitExactKernelResult) {
+  const LuGoldenCase& expected = GetParam();
+  LuConfig cfg;
+  cfg.n = expected.n;
+  cfg.iterations = expected.iterations;
+  const KernelResult result = run_lu(expected.nranks, 1000, cfg);
+  EXPECT_EQ(result.verified, expected.verified);
+  ASSERT_EQ(result.values.size(), expected.values.size());
+  for (const auto& [key, want] : expected.values) {
+    ASSERT_TRUE(result.values.count(key)) << "missing value: " << key;
+    EXPECT_EQ(result.values.at(key), want)
+        << key << " drifted: expected " << testing::PrintToString(want)
+        << ", got " << testing::PrintToString(result.values.at(key));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TileShapes, LuTileGolden, ::testing::ValuesIn(lu_goldens()),
+    [](const ::testing::TestParamInfo<LuGoldenCase>& info) {
+      return "n" + std::to_string(info.param.n) + "N" +
+             std::to_string(info.param.nranks);
+    });
+
+// A checkpoint blob keeps u in (i, j, k) order with k fastest, whatever
+// the memory layout, so .ckpt entries already on disk restore. fnv1a
+// of each rank's blob at boundary 1, recorded from the k-fastest layout.
+TEST(LuCheckpoint, BlobBytesPinned) {
+  LuConfig cfg;
+  cfg.n = 20;
+  cfg.iterations = 2;
+  CheckpointBlobs blobs(2);
+  IterationCtl ctl;
+  ctl.stop_at = 1;
+  ctl.save = &blobs;
+  mpi::Runtime rt(sim::ClusterConfig::paper_testbed(16));
+  rt.run(2, 1000, [&](mpi::Comm& comm) {
+    (void)LuKernel(cfg).run_ctl(comm, ctl);
+  });
+  EXPECT_EQ(util::fnv1a(blobs[0]), 0xe11807c0e3185b28ULL);
+  EXPECT_EQ(util::fnv1a(blobs[1]), 0xf7c899e4ea14ca4bULL);
 }
 
 }  // namespace

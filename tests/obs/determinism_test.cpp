@@ -17,6 +17,7 @@
 #include "pas/fault/fault.hpp"
 #include "pas/obs/metrics.hpp"
 #include "pas/obs/observer.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::analysis {
 namespace {
@@ -68,7 +69,7 @@ std::map<std::string, std::string> run_observed_sweep(
 }
 
 TEST(ObsDeterminism, ArtifactsAreByteIdenticalAcrossJobs) {
-  const std::string base = testing::TempDir() + "/pasim_obs_det";
+  const std::string base = pas::test::scratch_path("pasim_obs_det");
   const auto j1 = run_observed_sweep("EP", 1, base + "_j1", std::nullopt);
   const auto j8 = run_observed_sweep("EP", 8, base + "_j8", std::nullopt);
   for (const char* name : kArtifacts) {
@@ -79,7 +80,7 @@ TEST(ObsDeterminism, ArtifactsAreByteIdenticalAcrossJobs) {
 }
 
 TEST(ObsDeterminism, FaultySweepArtifactsAreByteIdenticalAcrossJobs) {
-  const std::string base = testing::TempDir() + "/pasim_obs_det_fault";
+  const std::string base = pas::test::scratch_path("pasim_obs_det_fault");
   const fault::FaultConfig faults = fault::FaultConfig::scaled(0.05, 42);
   const auto j1 = run_observed_sweep("FT", 1, base + "_j1", faults);
   const auto j8 = run_observed_sweep("FT", 8, base + "_j8", faults);
@@ -91,7 +92,7 @@ TEST(ObsDeterminism, FaultySweepArtifactsAreByteIdenticalAcrossJobs) {
 }
 
 TEST(ObsDeterminism, ArtifactsHaveExpectedStructure) {
-  const std::string dir = testing::TempDir() + "/pasim_obs_struct";
+  const std::string dir = pas::test::scratch_path("pasim_obs_struct");
   const auto files = run_observed_sweep("EP", 2, dir, std::nullopt);
 
   const std::string& report = files.at("run_report.json");

@@ -7,11 +7,13 @@
 #include <sstream>
 #include <string>
 
+#include "test_scratch.hpp"
+
 namespace pas::obs {
 namespace {
 
 TEST(WriteResult, SuccessReportsPathAndExactByteCount) {
-  const std::string path = testing::TempDir() + "/write_result_ok.txt";
+  const std::string path = pas::test::scratch_path("write_result_ok.txt");
   const std::string content = "power-aware speedup\n";
   const WriteResult r = write_text_file(path, content);
   ASSERT_TRUE(r.ok());
@@ -29,7 +31,7 @@ TEST(WriteResult, SuccessReportsPathAndExactByteCount) {
 
 TEST(WriteResult, FailureCarriesPathAndNonEmptyError) {
   const std::string path =
-      testing::TempDir() + "/no_such_dir_for_write_result/out.txt";
+      pas::test::scratch_path("no_such_dir_for_write_result/out.txt");
   const WriteResult r = write_text_file(path, "x");
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(static_cast<bool>(r));

@@ -15,12 +15,13 @@
 #include "pas/serve/server.hpp"
 #include "pas/serve/socket.hpp"
 #include "pas/util/json.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::serve {
 namespace {
 
 std::string temp_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/pasim_hardening/" + name;
+  const std::string dir = pas::test::scratch_path("pasim_hardening/" + name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

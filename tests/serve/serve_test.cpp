@@ -28,12 +28,13 @@
 #include "pas/serve/protocol.hpp"
 #include "pas/serve/server.hpp"
 #include "pas/util/json.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::serve {
 namespace {
 
 std::string temp_dir(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/pasim_serve_test/" + name;
+  const std::string dir = pas::test::scratch_path("pasim_serve_test/" + name);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

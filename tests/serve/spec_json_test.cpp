@@ -11,9 +11,11 @@
 #include <string>
 #include <vector>
 
+#include "pas/analysis/experiment.hpp"
 #include "pas/analysis/sweep_spec.hpp"
 #include "pas/util/cli.hpp"
 #include "pas/util/json.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::analysis {
 namespace {
@@ -212,7 +214,7 @@ TEST(SpecJson, RejectsOutOfRangeValues) {
 
 TEST(SpecJson, FlagsOverrideSpecFileWhichOverridesDefaults) {
   const std::string path =
-      testing::TempDir() + "/spec_json_test_layering.json";
+      pas::test::scratch_path("spec_json_test_layering.json");
   {
     SweepSpec file_spec;
     file_spec.kernel = "FT";
@@ -250,6 +252,17 @@ TEST(SpecJson, FromCliReportsRejectedValuesAsUsageErrors) {
   EXPECT_EQ(SweepSpec::from_cli(make_cli({"--iterations", "48"}), "FT")
                 .iterations,
             48);
+}
+
+// Eq 1 divides by T_1: a binary that prints speedups rejects a node
+// axis without N=1 as a usage error naming it, before anything runs.
+TEST(SpecJson, GridWithoutBaseNodeIsAUsageError) {
+  const util::Cli cli = make_cli({"--small", "--nodes", "2,4"});
+  const ExperimentEnv env = env_for_spec(SweepSpec::from_cli(cli));
+  EXPECT_EXIT(require_base_node(cli, env), testing::ExitedWithCode(2),
+              "^prog: nodes: the grid 2,4 has no N=1");
+  const util::Cli with_base = make_cli({"--small", "--nodes", "4,1"});
+  require_base_node(with_base, env_for_spec(SweepSpec::from_cli(with_base)));
 }
 
 TEST(SpecJson, LoadNamesThePathOnError) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "pas/mpi/runtime.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::sim {
 namespace {
@@ -52,7 +53,7 @@ TEST(Tracer, WriteToFile) {
   Tracer t;
   t.enable();
   t.record(0, 0.0, 1.0, Activity::kCpu, "x");
-  const std::string path = testing::TempDir() + "/pas_trace.json";
+  const std::string path = pas::test::scratch_path("pas_trace.json");
   const obs::WriteResult ok = t.write_chrome_json(path);
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok.path, path);

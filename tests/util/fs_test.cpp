@@ -8,12 +8,13 @@
 #include <string>
 
 #include "pas/util/subprocess.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::util {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  const std::string dir = testing::TempDir() + "/pasim_fs_test";
+  const std::string dir = pas::test::scratch_path("pasim_fs_test");
   std::filesystem::create_directories(dir);
   return dir + "/" + name;
 }

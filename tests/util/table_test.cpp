@@ -1,4 +1,5 @@
 #include "pas/util/table.hpp"
+#include "test_scratch.hpp"
 
 #include <gtest/gtest.h>
 
@@ -55,7 +56,7 @@ TEST(TextTable, WriteCsvRoundTrip) {
   TextTable t("title ignored in csv");
   t.set_header({"k", "v"});
   t.add_row({"x", "1"});
-  const std::string path = testing::TempDir() + "/pas_table_test.csv";
+  const std::string path = pas::test::scratch_path("pas_table_test.csv");
   const obs::WriteResult r = t.write_csv(path);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.path, path);

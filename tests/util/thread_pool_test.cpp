@@ -1,6 +1,7 @@
 #include "pas/util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -143,6 +144,23 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
 
 TEST(ThreadPool, DefaultJobsIsPositive) {
   EXPECT_GE(ThreadPool::default_jobs(), 1);
+}
+
+// "Use the machine" means the cores this process may run on: narrowing
+// the calling thread's affinity mask to one core narrows the default.
+TEST(ThreadPool, DefaultJobsFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int narrowed = ThreadPool::default_jobs();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(narrowed, 1);
+  EXPECT_EQ(ThreadPool::default_jobs(), CPU_COUNT(&saved));
 }
 
 }  // namespace

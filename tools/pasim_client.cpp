@@ -86,6 +86,9 @@ int main(int argc, char** argv) {
       std::printf("%s\n", spec.to_json().dump(2).c_str());
       return 0;
     }
+    // --out writes the speedup surface: check its base before the sweep.
+    if (cli.has("out"))
+      analysis::require_base_node(cli, analysis::env_for_spec(spec));
 
     serve::ClientOptions opts;
     opts.unix_socket =

@@ -15,13 +15,15 @@
 //
 // --tcp 0 picks an ephemeral port (printed on stdout — scripts parse
 // the "listening" line). The TCP listener binds 127.0.0.1: one server
-// serves one host, and --workers is how it grows.
+// serves one host, and --workers is how it grows. --workers defaults
+// to the cores the process may run on (its CPU affinity mask).
 #include <csignal>
 #include <cstdio>
 #include <stdexcept>
 
 #include "pas/serve/server.hpp"
 #include "pas/util/cli.hpp"
+#include "pas/util/thread_pool.hpp"
 
 namespace {
 
@@ -41,7 +43,8 @@ int main(int argc, char** argv) {
   opts.tcp_port = cli.has("tcp") ? static_cast<int>(cli.get_int("tcp", 0)) : -1;
   opts.metrics_csv = cli.get("metrics-csv", "");
   opts.broker.cache_dir = cli.get("cache", ".pasim_cache");
-  opts.broker.workers = static_cast<int>(cli.get_int("workers", 2));
+  opts.broker.workers = static_cast<int>(
+      cli.get_int("workers", util::ThreadPool::default_jobs()));
   opts.broker.worker_timeout_s = cli.get_double("worker-timeout", 300.0);
   opts.broker.worker_retries =
       static_cast<int>(cli.get_int("worker-retries", 1));
