@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
   cli.check_usage(known);
   const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli, "FT");
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
-  analysis::require_base_node(cli, env);
+  analysis::require_base_node(
+      cli, env, {1, 1, "the T(N) > T(1) shape check"});
   analysis::SweepExecutor executor(spec);
   const analysis::MatrixResult measured = executor.run();
 
@@ -35,9 +36,10 @@ int main(int argc, char** argv) {
       "Fig 2b: FT two-dimensional speedup (base 1 node @ 600 MHz)");
   std::fputs(fig_b.to_string().c_str(), stdout);
 
+  const int n2 = env.min_parallel_nodes();
   const double t1 = measured.times.at(1, env.base_f_mhz);
-  const double t2 = measured.times.at(2, env.base_f_mhz);
-  std::printf("shape: T(2) > T(1) at 600 MHz -> %s (%.3fs vs %.3fs)\n",
+  const double t2 = measured.times.at(n2, env.base_f_mhz);
+  std::printf("shape: T(%d) > T(1) at 600 MHz -> %s (%.3fs vs %.3fs)\n", n2,
               t2 > t1 ? "OK" : "MISMATCH", t2, t1);
   const int top_n = env.max_nodes();
   const double fgain1 = measured.times.at(1, env.base_f_mhz) /

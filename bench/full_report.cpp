@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   const auto wall_start = std::chrono::steady_clock::now();
   const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
-  analysis::require_base_node(cli, env);
+  analysis::require_base_node(cli, env, analysis::kWorkloadFitNeeds);
   const analysis::Scale scale = spec.resolved_scale();
 
   Report report;

@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
   cli.check_usage(known);
   const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli, "FT");
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
-  analysis::require_base_node(cli, env);
+  analysis::require_base_node(
+      cli, env, {1, 1, "the error table over N > 1"});
   analysis::SweepExecutor executor(spec);
   const analysis::MatrixResult measured = executor.run();
 

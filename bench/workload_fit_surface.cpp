@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   cli.check_usage(known);
   const analysis::SweepSpec spec = analysis::SweepSpec::from_cli(cli);
   const analysis::ExperimentEnv env = analysis::env_for_spec(spec);
-  analysis::require_base_node(cli, env);
+  analysis::require_base_node(cli, env, analysis::kWorkloadFitNeeds);
   const analysis::Scale scale = spec.resolved_scale();
 
   util::TextTable t(
@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
     const double f_top = freqs_up.back();
     const double f_mid = freqs_up[freqs_up.size() / 2];
     subset.add(nodes_up.back(), f_top, full.times.at(nodes_up.back(), f_top));
-    subset.add(2, f_top, full.times.at(2, f_top));
+    const int n2 = env.min_parallel_nodes();
+    subset.add(n2, f_top, full.times.at(n2, f_top));
     if (nodes_up.size() > 2)
       subset.add(nodes_up[2], f_mid, full.times.at(nodes_up[2], f_mid));
 

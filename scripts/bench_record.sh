@@ -60,7 +60,7 @@ EOF
 echo "wrote $DEST/BENCH_full_report.json (wall ${WALL_REPORTED}s at --jobs $JOBS)"
 
 echo "== bench_record: resilience_sweep (--jobs $JOBS) =="
-# The fault-ensemble axis: no repricing, no checkpoints, no sampling
+# The fault-ensemble axis: no repricing, no sampling
 # apply (fault injection bypasses every fast path), so this wall time
 # tracks the raw simulation throughput the resilience sweeps depend on.
 START_NS="$(date +%s%N)"

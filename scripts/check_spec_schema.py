@@ -8,11 +8,12 @@ and the same value ranges (positive axes, probabilities in [0, 1],
 verify_replay requires use_cache, cache_cap_bytes requires cache_dir).
 
 Schema v2 (DESIGN.md §14) adds the `iterations` override and the
-sampling/checkpoint options (sampling, sample_period, warmup_iters,
-verify_sampling, checkpoints) with their cross-rules: verify_sampling
-requires sampling, sampling is incompatible with verify_replay, and
-checkpoints require the run cache. A v1 document naming any v2 field
-is mislabeled, not forward-compatible, and fails.
+sampling options (sampling, sample_period, warmup_iters,
+verify_sampling) with their cross-rules: verify_sampling requires
+sampling, and sampling is incompatible with verify_replay. The removed
+`checkpoints` option is still accepted as false, because documents
+written before its removal carry it; true fails. A v1 document naming
+any v2 field is mislabeled, not forward-compatible, and fails.
 
 Usage: check_spec_schema.py <spec.json> [<spec.json> ...]
 """
@@ -137,10 +138,9 @@ def check_options(opts, version):
             fail("options.sampling",
                  "incompatible with verify_replay: sampled records are "
                  "estimates, never byte-compared (use verify_sampling)")
-        checkpoints = get_bool(opts, "options.", "checkpoints")
-        if checkpoints and opts.get("use_cache") is False:
+        if get_bool(opts, "options.", "checkpoints"):
             fail("options.checkpoints",
-                 "requires use_cache (checkpoints are cache entries)")
+                 "checkpoint warm-starts were removed; drop the member")
 
 
 def check_fault(fault):

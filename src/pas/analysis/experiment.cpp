@@ -1,6 +1,7 @@
 #include "pas/analysis/experiment.hpp"
 
 #include <algorithm>
+#include <set>
 #include <stdexcept>
 
 #include "pas/analysis/sweep_executor.hpp"
@@ -18,6 +19,10 @@ double ExperimentEnv::top_f_mhz() const {
 
 int ExperimentEnv::max_nodes() const {
   return *std::max_element(nodes.begin(), nodes.end());
+}
+
+int ExperimentEnv::min_parallel_nodes() const {
+  return *std::min_element(parallel_nodes.begin(), parallel_nodes.end());
 }
 
 ExperimentEnv ExperimentEnv::small() {
@@ -102,13 +107,30 @@ ExperimentEnv env_for_spec(const SweepSpec& spec) {
   return env;
 }
 
-void require_base_node(const util::Cli& cli, const ExperimentEnv& env) {
-  if (std::find(env.nodes.begin(), env.nodes.end(), 1) != env.nodes.end())
-    return;
+void require_base_node(const util::Cli& cli, const ExperimentEnv& env,
+                       const GridNeeds& needs) {
   std::vector<std::string> nodes;
   for (int n : env.nodes) nodes.push_back(std::to_string(n));
-  cli.usage_error("nodes: the grid " + util::join(nodes, ",") +
-                  " has no N=1, the base every speedup divides by (Eq 1)");
+  const std::string grid = util::join(nodes, ",");
+  if (std::find(env.nodes.begin(), env.nodes.end(), 1) == env.nodes.end())
+    cli.usage_error("nodes: the grid " + grid +
+                    " has no N=1, the base every speedup divides by (Eq 1)");
+  const std::set<int> above_one(env.parallel_nodes.begin(),
+                                env.parallel_nodes.end());
+  if (static_cast<int>(above_one.size()) < needs.nodes_above_one)
+    cli.usage_error(util::strf(
+        "nodes: the grid %s has %zu node count%s above 1, but %s needs %d",
+        grid.c_str(), above_one.size(), above_one.size() == 1 ? "" : "s",
+        needs.why, needs.nodes_above_one));
+  const std::set<double> freqs(env.freqs_mhz.begin(), env.freqs_mhz.end());
+  if (static_cast<int>(freqs.size()) < needs.freqs) {
+    std::vector<std::string> fs;
+    for (double f : env.freqs_mhz) fs.push_back(util::strf("%g", f));
+    cli.usage_error(util::strf(
+        "freqs: the grid %s has %zu distinct frequenc%s, but %s needs %d",
+        util::join(fs, ",").c_str(), freqs.size(),
+        freqs.size() == 1 ? "y" : "ies", needs.why, needs.freqs));
+  }
 }
 
 core::LevelWorkload to_level_workload(

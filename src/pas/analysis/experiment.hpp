@@ -41,6 +41,9 @@ struct ExperimentEnv {
   /// order: a spec may list an axis descending.
   double top_f_mhz() const;
   int max_nodes() const;
+  /// The smallest node count above 1 (2 on the preset grids); requires
+  /// a non-empty parallel_nodes.
+  int min_parallel_nodes() const;
 
   static ExperimentEnv paper();
   /// Reduced grid (N <= 4, 3 frequencies) for quick runs and tests.
@@ -62,10 +65,27 @@ std::unique_ptr<npb::Kernel> make_spec_kernel(const SweepSpec& spec);
 /// base point).
 ExperimentEnv env_for_spec(const SweepSpec& spec);
 
+/// What a binary's analyses read off the grid besides N=1: distinct
+/// node counts above 1 (a shape check against N=1, a fitted
+/// N-dependence) and distinct frequencies (a fitted f-dependence).
+/// `why` names the analysis in the usage error.
+struct GridNeeds {
+  int nodes_above_one = 0;
+  int freqs = 1;
+  const char* why = "";
+};
+
+/// The workload fit's basis {g, g/N, [N>1], [N>1]/N} (g = f0/f) is
+/// singular unless two node counts above 1 and two frequencies vary it.
+inline constexpr GridNeeds kWorkloadFitNeeds{
+    2, 2, "the workload fit T = A g + B g/N + C + D/N"};
+
 /// Eq 1 divides by T_1, so a binary that prints speedups needs N=1 on
-/// its node axis. Without it this is a usage error (Cli::usage_error,
-/// exit status 2) naming the missing N=1, before anything runs.
-void require_base_node(const util::Cli& cli, const ExperimentEnv& env);
+/// its node axis, plus whatever `needs` asks for. A grid that lacks any
+/// of it is a usage error (Cli::usage_error, exit status 2) naming what
+/// is missing, before anything runs.
+void require_base_node(const util::Cli& cli, const ExperimentEnv& env,
+                       const GridNeeds& needs = {});
 
 /// Adapters between substrate outputs and core-model inputs (the core
 /// library deliberately does not link against counters/tools).

@@ -19,7 +19,6 @@ namespace {
 
 constexpr const char* kRunHeader = "pasim-run-cache v5";
 constexpr const char* kLedgerHeader = "pasim-run-ledger v5";
-constexpr const char* kCkptHeader = "pasim-run-ckpt v5";
 
 // Live cache traffic is schedule-dependent (duplicate points racing in
 // one batch resolve as hit-vs-miss by timing), so these are volatile
@@ -202,17 +201,6 @@ std::string RunCache::ledger_key(const npb::Kernel& kernel,
                          d17(comm_dvfs_mhz).c_str());
 }
 
-std::string RunCache::checkpoint_key(const npb::Kernel& kernel,
-                                     const sim::ClusterConfig& cluster,
-                                     int nodes, double frequency_mhz,
-                                     double comm_dvfs_mhz) {
-  return pas::util::strf("ckpt-v5|%s|%s|N=%d|f=%s|comm=%s",
-                         kernel.prefix_signature().c_str(),
-                         cluster_signature(cluster).c_str(), nodes,
-                         d17(frequency_mhz).c_str(),
-                         d17(comm_dvfs_mhz).c_str());
-}
-
 std::string RunCache::path_for(const std::string& key) const {
   return (std::filesystem::path(dir_) /
           pas::util::strf("%016" PRIx64 ".run", util::fnv1a(key)))
@@ -222,17 +210,6 @@ std::string RunCache::path_for(const std::string& key) const {
 std::string RunCache::ledger_path_for(const std::string& key) const {
   return (std::filesystem::path(dir_) /
           pas::util::strf("%016" PRIx64 ".ledger", util::fnv1a(key)))
-      .string();
-}
-
-std::string RunCache::ckpt_path_for(const std::string& key,
-                                    int boundary) const {
-  // One file per (prefix identity, boundary): the boundary rides in the
-  // name so lookup can enumerate a prefix's boundaries without opening
-  // every file.
-  return (std::filesystem::path(dir_) /
-          pas::util::strf("%016" PRIx64 "_b%d.ckpt", util::fnv1a(key),
-                          boundary))
       .string();
 }
 
@@ -401,6 +378,8 @@ void RunCache::maybe_evict() {
   std::uintmax_t total = 0;
   std::error_code ec;
   for (const auto& de : std::filesystem::directory_iterator(dir_, ec)) {
+    // `.ckpt`: checkpoint entries older builds wrote; nothing reads
+    // them any more, so they only age out.
     const std::string ext = de.path().extension().string();
     if (ext != ".run" && ext != ".ledger" && ext != ".ckpt" && ext != ".bad")
       continue;
@@ -639,100 +618,6 @@ std::shared_ptr<const sim::WorkLedger> RunCache::store_ledger(
   if (dir_.empty()) return shared;
   publish(ledger_path_for(key), key, kLedgerHeader,
           encode_ledger_payload(*shared));
-  return shared;
-}
-
-namespace {
-
-obs::Counter& ckpt_hit_counter() {
-  static obs::Counter& c = obs::registry().counter("runcache.ckpt_hits");
-  return c;
-}
-obs::Counter& ckpt_miss_counter() {
-  static obs::Counter& c = obs::registry().counter("runcache.ckpt_misses");
-  return c;
-}
-
-}  // namespace
-
-std::shared_ptr<const sim::Checkpoint> RunCache::lookup_checkpoint(
-    const std::string& key, int max_boundary) {
-  // Candidate boundaries, deepest first: the in-memory map plus every
-  // on-disk file whose name carries this key's hash.
-  std::map<int, bool> on_disk;  // boundary -> (unused)
-  if (!dir_.empty()) {
-    const std::string prefix =
-        pas::util::strf("%016" PRIx64 "_b", util::fnv1a(key));
-    std::error_code ec;
-    for (const auto& de : std::filesystem::directory_iterator(dir_, ec)) {
-      if (de.path().extension() != ".ckpt") continue;
-      const std::string name = de.path().filename().string();
-      if (name.rfind(prefix, 0) != 0) continue;
-      char* end = nullptr;
-      const long b = std::strtol(name.c_str() + prefix.size(), &end, 10);
-      if (end == nullptr || std::strcmp(end, ".ckpt") != 0) continue;
-      if (b > 0 && b <= max_boundary) on_disk.emplace(static_cast<int>(b), true);
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = checkpoints_.find(key);
-    if (it != checkpoints_.end()) {
-      for (const auto& [b, ckpt] : it->second) {
-        if (b <= max_boundary) on_disk.emplace(b, true);
-      }
-    }
-  }
-  for (auto bi = on_disk.rbegin(); bi != on_disk.rend(); ++bi) {
-    const int boundary = bi->first;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = checkpoints_.find(key);
-      if (it != checkpoints_.end()) {
-        const auto ci = it->second.find(boundary);
-        if (ci != it->second.end()) {
-          ckpt_hit_counter().add();
-          return ci->second;
-        }
-      }
-    }
-    const std::string path = ckpt_path_for(key, boundary);
-    const EntryView v = load_entry(path, kCkptHeader, key, "key ckpt-v");
-    if (v.state == EntryView::State::kOk) {
-      auto ckpt = std::make_shared<sim::Checkpoint>();
-      if (sim::Checkpoint::decode(v.payload, ckpt.get()) &&
-          ckpt->boundary == boundary) {
-        touch(path);
-        std::shared_ptr<const sim::Checkpoint> shared = std::move(ckpt);
-        std::lock_guard<std::mutex> lock(mutex_);
-        checkpoints_[key].emplace(boundary, shared);
-        ckpt_hit_counter().add();
-        return shared;
-      }
-      quarantine(path, "checkpoint");
-    } else if (v.state == EntryView::State::kCorrupt) {
-      quarantine(path, "checkpoint");
-    }
-    // kMissing / kCollision / just quarantined: try the next-deepest.
-  }
-  ckpt_miss_counter().add();
-  return nullptr;
-}
-
-std::shared_ptr<const sim::Checkpoint> RunCache::store_checkpoint(
-    const std::string& key, sim::Checkpoint ckpt) {
-  if (ckpt.boundary < 1 || ckpt.nranks < 1) return nullptr;
-  const int boundary = ckpt.boundary;
-  auto shared = std::make_shared<const sim::Checkpoint>(std::move(ckpt));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    checkpoints_[key].emplace(boundary, shared);
-    static obs::Counter& stored =
-        obs::registry().counter("runcache.ckpt_stores");
-    stored.add();
-  }
-  if (dir_.empty()) return shared;
-  publish(ckpt_path_for(key, boundary), key, kCkptHeader, shared->encode());
   return shared;
 }
 

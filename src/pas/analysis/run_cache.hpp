@@ -36,20 +36,13 @@
 // DVFS column, under any fault config, from one simulated run, across
 // processes.
 //
-// v5 adds mid-run checkpoints (sim::Checkpoint, DESIGN.md §14): `.ckpt`
-// entries keyed by the kernel's *iteration-boundary prefix* identity —
-// prefix_signature, cluster, rank count, operating point, comm-DVFS
-// point, but not the power model (energy never feeds back into the
-// simulation) and not the total iteration count (that is exactly what
-// prefix sharing strikes out). One key maps to many boundaries, each
-// its own file; lookup_checkpoint returns the deepest one at or below
-// the caller's target so deeper sweep points warm-start from shallower
-// points' prefixes.
+// The `.ckpt` mid-run checkpoint entries older builds wrote are never
+// read; they still count toward the cap, so the eviction pass ages
+// them out.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -57,7 +50,6 @@
 #include <unordered_map>
 
 #include "pas/analysis/run_matrix.hpp"
-#include "pas/sim/checkpoint.hpp"
 #include "pas/sim/work_ledger.hpp"
 
 namespace pas::analysis {
@@ -139,28 +131,6 @@ class RunCache {
   /// malformed or truncated field; `ledger` is unspecified then.
   static bool decode_ledger(std::istream& in, sim::WorkLedger* ledger);
 
-  /// Checkpoint key: the iteration-boundary prefix identity. Uses the
-  /// kernel's prefix_signature() (empty = the kernel opted out of
-  /// prefix sharing; callers must not store checkpoints then) and the
-  /// full operating point — simulator state depends on the DVFS points
-  /// but never on the power model.
-  static std::string checkpoint_key(const npb::Kernel& kernel,
-                                    const sim::ClusterConfig& cluster,
-                                    int nodes, double frequency_mhz,
-                                    double comm_dvfs_mhz);
-
-  /// Thread-safe. The deepest stored checkpoint for `key` with
-  /// boundary <= max_boundary (memory first, then disk, deepest first;
-  /// corrupt files are quarantined and the next-deepest is tried).
-  /// Null when nothing usable is stored.
-  std::shared_ptr<const sim::Checkpoint> lookup_checkpoint(
-      const std::string& key, int max_boundary);
-
-  /// Thread-safe. Stores one boundary's checkpoint (atomic disk write,
-  /// like store()) and returns the shared instance.
-  std::shared_ptr<const sim::Checkpoint> store_checkpoint(
-      const std::string& key, sim::Checkpoint ckpt);
-
   const std::string& dir() const { return dir_; }
   std::uint64_t cap_bytes() const { return cap_bytes_; }
   std::uint64_t hits() const;
@@ -172,7 +142,6 @@ class RunCache {
  private:
   std::string path_for(const std::string& key) const;
   std::string ledger_path_for(const std::string& key) const;
-  std::string ckpt_path_for(const std::string& key, int boundary) const;
   /// Publishes one v4 entry (header + key + checksum + payload) via
   /// util::atomic_write_file, then runs the eviction pass if capped.
   void publish(const std::string& path, const std::string& key,
@@ -185,11 +154,6 @@ class RunCache {
   std::unordered_map<std::string, RunRecord> memory_;
   std::unordered_map<std::string, std::shared_ptr<const sim::WorkLedger>>
       ledgers_;
-  /// key -> boundary -> checkpoint (ordered so "deepest <= max" is a
-  /// map scan from the upper bound).
-  std::unordered_map<std::string,
-                     std::map<int, std::shared_ptr<const sim::Checkpoint>>>
-      checkpoints_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t stores_ = 0;

@@ -73,37 +73,15 @@ RunMatrix::RunMatrix(sim::ClusterConfig cluster, power::PowerModel power)
 
 RunRecord RunMatrix::run_one(const npb::Kernel& kernel, int nodes,
                              double frequency_mhz, double comm_dvfs_mhz,
-                             int fault_attempt) {
-  return run_segment(kernel, nodes, frequency_mhz, comm_dvfs_mhz,
-                     fault_attempt, SegmentOptions{});
-}
-
-RunRecord RunMatrix::run_segment(const npb::Kernel& kernel, int nodes,
-                                 double frequency_mhz, double comm_dvfs_mhz,
-                                 int fault_attempt,
-                                 const SegmentOptions& seg) {
+                             int fault_attempt, const SamplingPlan& sampling) {
   npb::KernelResult root_result;
   runtime_.set_fault_attempt(fault_attempt);
 
   npb::IterationCtl ctl;
-  npb::CheckpointBlobs load_blobs;
-  npb::CheckpointBlobs save_blobs;
   sim::SampleProbe probe;
-  if (seg.resume != nullptr) {
-    ctl.start_iter = seg.resume->boundary;
-    load_blobs.reserve(seg.resume->ranks.size());
-    for (const sim::RankCheckpoint& r : seg.resume->ranks)
-      load_blobs.push_back(r.kernel_blob);
-    ctl.load = &load_blobs;
-  }
-  if (seg.stop_at > 0) {
-    ctl.stop_at = seg.stop_at;
-    save_blobs.resize(static_cast<std::size_t>(nodes));
-    ctl.save = &save_blobs;
-  }
-  if (seg.sample_period > 1) {
-    ctl.sample_period = seg.sample_period;
-    ctl.warmup_iters = seg.warmup_iters;
+  if (sampling.active()) {
+    ctl.sample_period = sampling.sample_period;
+    ctl.warmup_iters = sampling.warmup_iters;
     probe.begin(nodes);
     ctl.probe = &probe;
   }
@@ -115,16 +93,7 @@ RunRecord RunMatrix::run_segment(const npb::Kernel& kernel, int nodes,
         npb::KernelResult r =
             ctl.trivial() ? kernel.run(comm) : kernel.run_ctl(comm, ctl);
         if (comm.rank() == 0) root_result = std::move(r);
-      },
-      seg.resume, seg.capture);
-
-  if (seg.capture != nullptr) {
-    // The runtime captured the simulator state; the kernel blobs and
-    // the boundary they belong to are ours to merge.
-    seg.capture->boundary = seg.stop_at;
-    for (std::size_t r = 0; r < save_blobs.size(); ++r)
-      seg.capture->ranks[r].kernel_blob = std::move(save_blobs[r]);
-  }
+      });
 
   RunRecord rec;
   rec.nodes = nodes;
@@ -171,22 +140,22 @@ RunRecord RunMatrix::run_segment(const npb::Kernel& kernel, int nodes,
   for (const mpi::RankReport& r : run.ranks) rec.executed_per_rank += r.executed;
   rec.executed_per_rank = rec.executed_per_rank * (1.0 / n);
 
-  if (seg.sample_period > 1) {
+  if (sampling.active()) {
     // Extrapolate the sampled run to the full iteration count. The
     // extensive measurements (times, energy, messages, executed work)
     // scale by the estimated/measured makespan ratio — skipped
     // iterations would have repeated the detailed ones' behaviour,
     // which is exactly the sampling contract. Intensive ones
     // (doubles_per_message, verified) pass through.
-    const SampledEstimate est = estimate_sampled_run(
-        probe, kernel.iteration_count(nodes), ctl.start_iter,
-        seg.warmup_iters, seg.sample_period, run.makespan);
+    const SampledEstimate est =
+        estimate_sampled_run(probe, kernel.iteration_count(nodes),
+                             sampling.warmup_iters, run.makespan);
     if (!est.valid)
       throw std::runtime_error(pas::util::strf(
           "sampled run of %s at N=%d collected no usable boundaries "
           "(period=%d, warmup=%d)",
-          kernel.name().c_str(), nodes, seg.sample_period,
-          seg.warmup_iters));
+          kernel.name().c_str(), nodes, sampling.sample_period,
+          sampling.warmup_iters));
     const double ratio = rec.seconds > 0.0 ? est.seconds / rec.seconds : 1.0;
     rec.seconds = est.seconds;
     rec.mean_overhead_s *= ratio;

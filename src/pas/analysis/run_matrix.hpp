@@ -52,7 +52,7 @@ struct RunRecord {
   // extrapolated from the detailed subset, with 95% half-widths below.
   bool sampled = false;
   int total_iters = 0;    ///< full iteration count being estimated
-  int sampled_iters = 0;  ///< post-warm-start iterations executed in detail
+  int sampled_iters = 0;  ///< iterations executed in detail
   double ci_seconds = 0.0;
   double ci_energy_j = 0.0;
 
@@ -90,22 +90,15 @@ struct MatrixResult {
 std::vector<power::ActivityProfile> activity_profiles(
     const mpi::RunResult& result);
 
-/// Iteration-level execution plan for one run segment (DESIGN.md §14).
-/// Default-constructed = the plain exact run; run_one is exactly
-/// run_segment with a default SegmentOptions.
-struct SegmentOptions {
-  /// Warm-start: continue from this mid-run state (its `boundary` is
-  /// the last completed iteration). Null = cold start.
-  const sim::Checkpoint* resume = nullptr;
-  /// Truncate after this iteration boundary (0 = run to completion),
-  /// filling `capture` with the simulator + kernel state at the cut.
-  int stop_at = 0;
-  sim::Checkpoint* capture = nullptr;
-  /// >1 enables SMARTS-style sampled estimation: only the detailed
-  /// subset of iterations executes and the record becomes a scaled
-  /// estimate carrying confidence intervals (RunRecord::sampled).
+/// SMARTS-style sampled-estimation plan for one run (DESIGN.md §14).
+/// Default-constructed = the plain exact run. `sample_period` > 1 runs
+/// only the detailed subset of iterations, and the record becomes a
+/// scaled estimate carrying confidence intervals (RunRecord::sampled).
+struct SamplingPlan {
   int sample_period = 0;
   int warmup_iters = 0;
+
+  bool active() const { return sample_period > 1; }
 };
 
 class RunMatrix {
@@ -140,19 +133,11 @@ class RunMatrix {
   /// phase DVFS at that operating point (paper §1 / refs [14, 15]).
   /// `fault_attempt` salts the run's FaultPlan (sweep-level retries);
   /// fault-induced aborts propagate as exceptions for the executor's
-  /// fail-soft path to classify.
+  /// fail-soft path to classify. An active `sampling` plan requires a
+  /// kernel with iteration hooks (iteration_count(nodes) > 0).
   RunRecord run_one(const npb::Kernel& kernel, int nodes,
                     double frequency_mhz, double comm_dvfs_mhz = 0.0,
-                    int fault_attempt = 0);
-
-  /// run_one under a segment plan: warm-start from a checkpoint,
-  /// truncate-and-capture at a boundary, and/or execute only a sampled
-  /// subset of iterations. A default `seg` reproduces run_one exactly.
-  /// Non-trivial plans require a kernel with iteration hooks
-  /// (iteration_count(nodes) > 0).
-  RunRecord run_segment(const npb::Kernel& kernel, int nodes,
-                        double frequency_mhz, double comm_dvfs_mhz,
-                        int fault_attempt, const SegmentOptions& seg);
+                    int fault_attempt = 0, const SamplingPlan& sampling = {});
 
   /// The full grid.
   MatrixResult sweep(const npb::Kernel& kernel,

@@ -8,19 +8,10 @@
 namespace pas::analysis {
 
 SampledEstimate estimate_sampled_run(const sim::SampleProbe& probe,
-                                     int total_iters, int start_iter,
-                                     int warmup_iters, int sample_period,
+                                     int total_iters, int warmup_iters,
                                      double measured_seconds) {
-  (void)sample_period;  // the plan is encoded in the recorded boundaries
   SampledEstimate est;
   est.total_iters = total_iters;
-  if (total_iters <= start_iter) {
-    // The run resumed at (or past) its full depth: only the epilogue
-    // executed and the measured makespan is already exact.
-    est.valid = true;
-    est.seconds = measured_seconds;
-    return est;
-  }
   if (probe.nranks() < 1) return est;
 
   // Cluster series: max-over-ranks `now` at each recorded boundary.
@@ -34,15 +25,13 @@ SampledEstimate estimate_sampled_run(const sim::SampleProbe& probe,
       if (!inserted) it->second = std::max(it->second, s.now);
     }
   }
-  est.sampled_iters = static_cast<int>(series.size());
-  for (const auto& [iter, now] : series) {
-    (void)now;
-    if (iter <= start_iter) --est.sampled_iters;  // warm-start baseline
-  }
+  // Every boundary but the iteration-0 baseline closes a detailed
+  // iteration.
+  est.sampled_iters = static_cast<int>(series.size() - series.count(0));
 
   // The detailed subset covers every iteration the run executed; the
   // remainder is what the estimator must account for.
-  const int skipped = (total_iters - start_iter) - est.sampled_iters;
+  const int skipped = total_iters - est.sampled_iters;
   if (skipped <= 0) {
     // Nothing was skipped (trivial plan or short loop): the measured
     // makespan is already the full-run makespan.
@@ -57,7 +46,7 @@ SampledEstimate estimate_sampled_run(const sim::SampleProbe& probe,
   std::vector<double> deltas;
   const double* prev = nullptr;
   for (const auto& [iter, now] : series) {
-    if (prev != nullptr && iter - start_iter > warmup_iters)
+    if (prev != nullptr && iter > warmup_iters)
       deltas.push_back(now - *prev);
     prev = &now;
   }

@@ -36,18 +36,18 @@ struct SampledEstimate {
   double seconds = 0.0;     ///< estimated full-run makespan
   double ci_seconds = 0.0;  ///< 95% half-width on `seconds`
   int total_iters = 0;      ///< full iteration count being estimated
-  int sampled_iters = 0;    ///< post-warmup iterations actually run
+  int sampled_iters = 0;    ///< detailed iterations actually run
 };
 
 /// Extrapolates a full-run makespan from one sampled run.
 ///
 /// `total_iters` is the kernel's full iteration count for this rank
-/// count, `start_iter` the warm-start boundary the run resumed from (0
-/// for a cold run), `warmup_iters`/`sample_period` the sampling plan
-/// the run executed, and `measured_seconds` its measured makespan.
+/// count, `warmup_iters` the detailed warming window of the plan the
+/// run executed (the sampling period itself is encoded in which
+/// boundaries the probe holds), and `measured_seconds` its measured
+/// makespan.
 SampledEstimate estimate_sampled_run(const sim::SampleProbe& probe,
-                                     int total_iters, int start_iter,
-                                     int warmup_iters, int sample_period,
+                                     int total_iters, int warmup_iters,
                                      double measured_seconds);
 
 }  // namespace pas::analysis

@@ -124,7 +124,6 @@ SweepExecutor::SweepExecutor(SweepSpec spec)
       sample_period_(spec_.options.sample_period),
       warmup_iters_(spec_.options.warmup_iters),
       verify_sampling_(spec_.options.verify_sampling),
-      checkpoints_(spec_.options.checkpoints),
       isolate_(spec_.options.isolate),
       isolate_timeout_s_(spec_.options.isolate_timeout_s),
       isolate_retries_(spec_.options.isolate_retries),
@@ -154,10 +153,6 @@ SweepExecutor::SweepExecutor(SweepSpec spec)
     throw std::invalid_argument(
         "SweepOptions.verify_sampling requires sampling: there are no "
         "sampled estimates to verify otherwise");
-  if (checkpoints_ && !use_cache_)
-    throw std::invalid_argument(
-        "SweepOptions.checkpoints requires use_cache: checkpoints live in "
-        "the run cache");
   if (sampling_ && sample_period_ < 2)
     throw std::invalid_argument(
         "SweepOptions.sample_period must be >= 2: period 1 is exact "
@@ -173,12 +168,12 @@ void SweepExecutor::attach_journal(const std::string& path) {
 RunRecord SweepExecutor::simulate_failsoft(const Sweep& s, const Point& p,
                                            const ObsCtx* ctx,
                                            sim::WorkLedger* ledger_out,
-                                           const SegmentOptions* seg) {
+                                           const SamplingPlan& sampling) {
   const npb::Kernel& kernel = *s.kernel;
-  if (ledger_out != nullptr && seg != nullptr)
+  if (ledger_out != nullptr && sampling.active())
     throw std::logic_error(
-        "simulate_failsoft: a segment run cannot record a charged-work "
-        "ledger (partial or sampled work is not replayable)");
+        "simulate_failsoft: a sampled run cannot record a charged-work "
+        "ledger (sampled work is not replayable)");
   // Retries only make sense when fault injection is on: each attempt
   // replays a differently-salted (still deterministic) FaultPlan. A
   // deadlock in a fault-free run is a bug in the kernel body and would
@@ -220,12 +215,8 @@ RunRecord SweepExecutor::simulate_failsoft(const Sweep& s, const Point& p,
         (*lease).ledger_recorder().begin(p.nodes, p.comm_dvfs_mhz);
         recorder.rec = &(*lease).ledger_recorder();
       }
-      RunRecord rec =
-          seg != nullptr
-              ? (*lease).run_segment(kernel, p.nodes, p.frequency_mhz,
-                                     p.comm_dvfs_mhz, attempt, *seg)
-              : (*lease).run_one(kernel, p.nodes, p.frequency_mhz,
-                                 p.comm_dvfs_mhz, attempt);
+      RunRecord rec = (*lease).run_one(kernel, p.nodes, p.frequency_mhz,
+                                       p.comm_dvfs_mhz, attempt, sampling);
       rec.attempts = attempt + 1;
       if (recorder.rec != nullptr) {
         *ledger_out = recorder.rec->take();
@@ -282,12 +273,9 @@ bool SweepExecutor::fast_path_eligible(const npb::Kernel& kernel) const {
   // its control flow never depends on virtual time. Armed faults
   // change priced seconds and aborts, never the op stream, and the
   // repricer re-draws each lane's fault streams itself. Sampled runs
-  // never record ledgers (a subset of the work is not replayable) and
-  // checkpointed runs split into segments the recorder cannot observe
-  // whole, so both features route every point through simulate_point
-  // instead.
-  return kernel.frequency_invariant_control_flow() && !sampling_ &&
-         !checkpoints_;
+  // never record ledgers (a subset of the work is not replayable), so
+  // sampling routes every point through simulate_point instead.
+  return kernel.frequency_invariant_control_flow() && !sampling_;
 }
 
 std::string SweepExecutor::point_key(const Sweep& s, const Point& p) const {
@@ -301,80 +289,16 @@ std::string SweepExecutor::point_key(const Sweep& s, const Point& p) const {
 RunRecord SweepExecutor::simulate_point(const Sweep& s, const Point& p,
                                         const ObsCtx* ctx,
                                         const std::string& key) {
-  if (!sampling_ && !checkpoints_) return simulate_failsoft(s, p, ctx);
+  if (!sampling_) return simulate_failsoft(s, p, ctx);
   const npb::Kernel& kernel = *s.kernel;
-  const int total = kernel.iteration_count(p.nodes);
-  const bool tracing_point =
-      observer_ && observer_->tracing() && ctx != nullptr;
-  // Checkpoints require the full prefix contract: an iteration-hooked
-  // kernel with a prefix identity, no fault injection (fault plans are
-  // whole-run constructs — truncating and resuming would splice two
-  // different plans), and no tracing (a resumed segment cannot re-emit
-  // its prefix's trace events). Ineligible points fall back to cold
-  // exact runs.
-  const bool can_ckpt = checkpoints_ && !s.cluster.fault.enabled() &&
-                        total > 0 && !kernel.prefix_signature().empty() &&
-                        !tracing_point;
-  std::string ckpt_key;
-  std::shared_ptr<const sim::Checkpoint> warm;
-  if (can_ckpt) {
-    ckpt_key = RunCache::checkpoint_key(kernel, s.cluster, p.nodes,
-                                        p.frequency_mhz, p.comm_dvfs_mhz);
-    warm = cache_.lookup_checkpoint(ckpt_key, total);
-  }
-  if (warm) {
-    // Which points warm-start is a pure function of the grid and prior
-    // cache contents — grid points never share a prefix within one
-    // sweep (the key carries N and both DVFS points), so scheduling
-    // cannot race a hit into existence. Stable at any --jobs.
-    static obs::Counter& warmstarted = obs::registry().counter(
-        "sweep.points_warmstarted", obs::Stability::kStable);
-    warmstarted.add();
-    util::log_info(util::strf(
-        "%s N=%d f=%.0fMHz: warm-starting from checkpoint at iteration "
-        "%d/%d",
-        kernel.name().c_str(), p.nodes, p.frequency_mhz, warm->boundary,
-        total));
-  }
-
-  if (sampling_) {
-    if (total <= 0)
-      throw std::invalid_argument(util::strf(
-          "--sampling: kernel %s has no iteration hooks to sample",
-          kernel.name().c_str()));
-    SegmentOptions seg;
-    seg.resume = warm.get();
-    seg.sample_period = sample_period_;
-    seg.warmup_iters = warmup_iters_;
-    RunRecord rec = simulate_failsoft(s, p, ctx, nullptr, &seg);
-    if (!rec.failed()) maybe_verify_sampling(s, p, key, rec);
-    return rec;
-  }
-
-  if (!can_ckpt) return simulate_failsoft(s, p, ctx);
-
-  // Exact checkpointed flow: make sure a checkpoint exists at this
-  // point's full depth — running the prefix (warm-started when a
-  // shallower checkpoint exists) and capturing at `total` — then resume
-  // from it through the epilogue. The resumed record is bit-identical
-  // to a cold run (sim::Checkpoint contract, checkpoint round-trip
-  // tests), and the stored checkpoint warm-starts any deeper run that
-  // shares the prefix.
-  std::shared_ptr<const sim::Checkpoint> at_total =
-      (warm && warm->boundary >= total) ? warm : nullptr;
-  if (!at_total) {
-    sim::Checkpoint cap;
-    SegmentOptions seg1;
-    seg1.resume = warm.get();
-    seg1.stop_at = total;
-    seg1.capture = &cap;
-    RunRecord part = simulate_failsoft(s, p, ctx, nullptr, &seg1);
-    if (part.failed()) return part;
-    at_total = cache_.store_checkpoint(ckpt_key, std::move(cap));
-  }
-  SegmentOptions seg2;
-  seg2.resume = at_total.get();
-  return simulate_failsoft(s, p, ctx, nullptr, &seg2);
+  if (kernel.iteration_count(p.nodes) <= 0)
+    throw std::invalid_argument(util::strf(
+        "--sampling: kernel %s has no iteration hooks to sample",
+        kernel.name().c_str()));
+  RunRecord rec = simulate_failsoft(s, p, ctx, nullptr,
+                                    SamplingPlan{sample_period_, warmup_iters_});
+  if (!rec.failed()) maybe_verify_sampling(s, p, key, rec);
+  return rec;
 }
 
 void SweepExecutor::maybe_verify_sampling(const Sweep& s, const Point& p,

@@ -30,14 +30,12 @@
 // and hard-fails on any byte difference.
 //
 // For the axes repricing cannot collapse (node counts, iteration
-// depths), DESIGN.md §14 adds two opt-in accelerations: checkpoint
-// warm-starts (exact — points sharing an iteration-boundary prefix
-// resume from the deepest stored sim::Checkpoint instead of
-// re-simulating it) and SMARTS-style sampled estimation (approximate —
-// only a systematic subset of iterations simulates in detail and each
-// record becomes an extrapolated estimate carrying 95% confidence
-// intervals, cross-checked by SweepOptions::verify_sampling). Both off
-// by default; exact sweeps are untouched.
+// depths), DESIGN.md §14 adds one opt-in acceleration: SMARTS-style
+// sampled estimation (approximate — only a systematic subset of
+// iterations simulates in detail and each record becomes an
+// extrapolated estimate carrying 95% confidence intervals,
+// cross-checked by SweepOptions::verify_sampling). Off by default;
+// exact sweeps are untouched.
 //
 // The API is spec-shaped: everything that configures an executor lives
 // in SweepSpec (pas/analysis/sweep_spec.hpp — kernel/scale/grid
@@ -86,7 +84,7 @@ struct SweepRequest {
   double comm_dvfs_mhz = 0.0;
   /// Fault injection for this grid, replacing the executor's cluster
   /// fault config; unset = the executor's. Every per-point step (keys,
-  /// retries, checkpoint gate, simulation, replay) runs under it.
+  /// retries, simulation, replay) runs under it.
   /// Requests of one batch that differ only here share each column's
   /// charged-work recording (DESIGN.md §10).
   std::optional<fault::FaultConfig> fault = std::nullopt;
@@ -238,18 +236,16 @@ class SweepExecutor {
   /// the size and count of resolved column ledgers.
   void note_repriced_lanes(std::size_t lanes, std::size_t ops);
   void note_ledger_resolved(const sim::WorkLedger& ledger);
-  /// `seg` selects RunMatrix::run_segment (checkpoint resume/capture,
-  /// sampled iteration plans, DESIGN.md §14) instead of run_one; never
-  /// combined with `ledger_out` (a partial or sampled segment must not
-  /// record a replayable ledger).
+  /// An active `sampling` plan runs the sampled iteration subset
+  /// (DESIGN.md §14); never combined with `ledger_out` (sampled work
+  /// is not replayable).
   RunRecord simulate_failsoft(const Sweep& s, const Point& p,
                               const ObsCtx* ctx,
                               sim::WorkLedger* ledger_out = nullptr,
-                              const SegmentOptions* seg = nullptr);
-  /// Simulates one point with sampling / checkpoint warm-starts applied
-  /// (DESIGN.md §14); plain simulate_failsoft when neither feature
-  /// applies to this point. `key` is the point's cache key ("" when
-  /// caching and journaling are both off).
+                              const SamplingPlan& sampling = {});
+  /// Simulates one point with sampling applied (DESIGN.md §14); plain
+  /// simulate_failsoft when sampling is off. `key` is the point's cache
+  /// key ("" when caching and journaling are both off).
   RunRecord simulate_point(const Sweep& s, const Point& p, const ObsCtx* ctx,
                            const std::string& key);
   /// --verify-sampling: a deterministic key-hash-selected fraction of
@@ -275,13 +271,12 @@ class SweepExecutor {
   bool use_cache_;
   int run_retries_;
   bool verify_replay_;
-  /// SMARTS-style sampled estimation + checkpoint warm-starts
-  /// (DESIGN.md §14), mirrored out of spec_.options.
+  /// SMARTS-style sampled estimation (DESIGN.md §14), mirrored out of
+  /// spec_.options.
   bool sampling_;
   int sample_period_;
   int warmup_iters_;
   double verify_sampling_;
-  bool checkpoints_;
   /// Write-ahead journal behind --resume/--isolate; null when not
   /// configured.
   std::unique_ptr<SweepJournal> journal_;

@@ -274,11 +274,6 @@ SweepOptions SweepOptions::apply_cli(const util::Cli& cli, SweepOptions base) {
         "--sampling cannot be combined with --verify-replay: sampled "
         "records are estimates, never byte-compared (use "
         "--verify-sampling to check them)");
-  opts.checkpoints = cli.get_bool("checkpoints", opts.checkpoints);
-  if (opts.checkpoints && !opts.use_cache)
-    throw std::invalid_argument(
-        "--checkpoints requires the run cache (drop --no-cache): "
-        "checkpoints are stored as cache entries");
   return opts;
 }
 
@@ -300,7 +295,6 @@ util::Json SweepOptions::to_json() const {
   j.set("sample_period", Json(sample_period));
   j.set("warmup_iters", Json(warmup_iters));
   j.set("verify_sampling", Json(verify_sampling));
-  j.set("checkpoints", Json(checkpoints));
   return j;
 }
 
@@ -368,10 +362,12 @@ SweepOptions SweepOptions::from_json(const util::Json& j) {
     field_error("options.sampling",
                 "incompatible with verify_replay: sampled records are "
                 "estimates, never byte-compared (use verify_sampling)");
-  o.checkpoints = get_bool_field(j, where, "checkpoints", o.checkpoints);
-  if (o.checkpoints && !o.use_cache)
+  // Checkpoint warm-starts are gone; every document an earlier build
+  // wrote still carries "checkpoints": false, so only true is refused.
+  if (get_bool_field(j, where, "checkpoints", false))
     field_error("options.checkpoints",
-                "requires use_cache (checkpoints are cache entries)");
+                "checkpoint warm-starts were removed; drop the member "
+                "(sampling is the accelerator for deep iteration grids)");
   return o;
 }
 
@@ -591,7 +587,7 @@ std::vector<std::string> SweepSpec::cli_option_names() {
           "jobs", "cache", "no-cache", "retries", "verify-replay", "journal",
           "resume", "isolate", "isolate-timeout", "isolate-retries",
           "cache-cap", "sampling", "sample-period", "warmup-iters",
-          "verify-sampling", "checkpoints",
+          "verify-sampling",
           // obs::Observer::from_cli
           "trace", "metrics"};
 }

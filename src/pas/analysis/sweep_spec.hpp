@@ -51,8 +51,8 @@ struct SweepOptions {
   int jobs = 0;
   /// Directory for the persistent run cache; empty = in-memory only.
   std::string cache_dir;
-  /// false disables the run cache: no record, ledger or checkpoint is
-  /// looked up or stored, so every point misses. A fast-path column
+  /// false disables the run cache: no record or ledger is looked up
+  /// or stored, so every point misses. A fast-path column
   /// still records its ledger in memory for the task that runs it and
   /// re-prices its other frequencies (DESIGN.md §10): --no-cache still
   /// collapses frequencies.
@@ -106,12 +106,6 @@ struct SweepOptions {
   /// fall within the sampled estimate's confidence interval; any
   /// violation aborts the sweep. 0 disables; > 0 requires sampling.
   double verify_sampling = 0.0;
-  /// Checkpoint warm-starts (schema v2): store mid-run simulator state
-  /// in the run cache at iteration boundaries and warm-start points
-  /// that share a prefix (same kernel prefix identity, deeper
-  /// iteration count) from the deepest stored checkpoint. Requires
-  /// use_cache (checkpoints live in the run cache).
-  bool checkpoints = false;
 
   /// Bench/example configuration: `--jobs N` (default: $PASIM_JOBS,
   /// then the cores in the affinity mask), `--cache [dir]` (default dir
@@ -120,7 +114,7 @@ struct SweepOptions {
   /// `pasim_sweep.journal`), `--resume`, `--isolate`,
   /// `--isolate-timeout S`, `--isolate-retries N`, `--cache-cap MB`,
   /// `--sampling`, `--sample-period N`, `--warmup-iters N`,
-  /// `--verify-sampling FRAC`, `--checkpoints`.
+  /// `--verify-sampling FRAC`.
   /// `--resume`/`--isolate` imply the default journal path when
   /// `--journal` is absent. Throws std::invalid_argument for
   /// `--jobs < 1`, `--retries < 0`, a $PASIM_JOBS that is not a
@@ -131,8 +125,8 @@ struct SweepOptions {
   /// comparison baseline), `--isolate-timeout <= 0`,
   /// `--isolate-retries < 0`, `--cache-cap` without a disk cache,
   /// `--sample-period < 2`, `--warmup-iters < 0`, `--verify-sampling`
-  /// outside (0, 1] or without `--sampling`, `--sampling` combined
-  /// with `--verify-replay`, or `--checkpoints` with `--no-cache`.
+  /// outside (0, 1] or without `--sampling`, or `--sampling` combined
+  /// with `--verify-replay`.
   static SweepOptions from_cli(const util::Cli& cli);
 
   /// from_cli layered over `base` (typically options loaded from a
@@ -145,7 +139,9 @@ struct SweepOptions {
   /// are still emitted, so dumps are self-describing and canonical.
   util::Json to_json() const;
   /// Strict inverse: unknown keys, wrong types and out-of-range
-  /// values throw std::invalid_argument naming the field.
+  /// values throw std::invalid_argument naming the field. The removed
+  /// `checkpoints` member is still accepted as false, because every
+  /// document earlier builds wrote carries it; true is refused.
   static SweepOptions from_json(const util::Json& j);
 };
 

@@ -11,7 +11,6 @@
 // thread interleaving (DESIGN.md §7).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -138,14 +137,6 @@ class RankFaults {
   int max_send_attempts() const { return cfg_.max_send_attempts; }
   /// Backoff before retry number `retry` (0-based): base * 2^retry.
   double backoff_s(int retry) const;
-
-  /// Fault-stream position, for checkpoint capture/restore: a restored
-  /// stream continues the exact draw sequence (drop/delay/jitter draws
-  /// after the boundary match the uninterrupted run).
-  std::array<std::uint64_t, 4> rng_state() const { return rng_.state(); }
-  void set_rng_state(const std::array<std::uint64_t, 4>& s) {
-    rng_.set_state(s);
-  }
 
  private:
   FaultConfig cfg_;

@@ -181,8 +181,6 @@ class Comm {
   void sample_boundary(sim::SampleProbe& probe, int iter) const;
 
  private:
-  friend class Runtime;
-
   /// Sender-side cost + fabric booking + delivery. When `blocking` the
   /// sender's clock advances to the end of the link serialization;
   /// otherwise the serialization end time is returned for wait().

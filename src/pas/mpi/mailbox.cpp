@@ -1,6 +1,5 @@
 #include "pas/mpi/mailbox.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -127,22 +126,6 @@ void Mailbox::wake() {
     ++wake_seq_;
   }
   cv_.notify_all();
-}
-
-std::vector<Message> Mailbox::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::uint64_t> keys;
-  keys.reserve(buckets_.size());
-  for (const auto& [key, queue] : buckets_) {
-    if (!queue.empty()) keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  std::vector<Message> out;
-  for (std::uint64_t key : keys) {
-    const auto& queue = buckets_.at(key);
-    out.insert(out.end(), queue.begin(), queue.end());
-  }
-  return out;
 }
 
 }  // namespace pas::mpi

@@ -57,12 +57,6 @@ class Mailbox {
   /// the mailbox mutex to publish the wake.
   void wake();
 
-  /// All queued messages in a canonical order (channels sorted by key,
-  /// FIFO within a channel) for checkpoint capture. Only meaningful
-  /// with no rank in flight; restore is plain deliver() in this order,
-  /// which reproduces the identical per-channel FIFOs.
-  std::vector<Message> snapshot() const;
-
  private:
   static std::uint64_t chan(int src, int tag) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |

@@ -80,21 +80,9 @@ std::exception_ptr Runtime::pick_error(
 }
 
 RunResult Runtime::run(int nranks, double frequency_mhz, const RankBody& body) {
-  return run(nranks, frequency_mhz, body, nullptr, nullptr);
-}
-
-RunResult Runtime::run(int nranks, double frequency_mhz, const RankBody& body,
-                       const sim::Checkpoint* restore,
-                       sim::Checkpoint* capture) {
   if (nranks < 1 || nranks > cfg_.num_nodes)
     throw std::invalid_argument(pas::util::strf(
         "nranks=%d out of range [1, %d]", nranks, cfg_.num_nodes));
-  if ((restore != nullptr || capture != nullptr) && ledger_recorder_.enabled())
-    throw std::logic_error(
-        "checkpoint hooks are incompatible with an armed ledger recorder");
-  if (restore != nullptr && restore->nranks != nranks)
-    throw std::invalid_argument(pas::util::strf(
-        "checkpoint is for %d ranks, run wants %d", restore->nranks, nranks));
 
   static obs::Counter& runs = obs::registry().counter("mpi.runs");
   runs.add();
@@ -123,51 +111,6 @@ RunResult Runtime::run(int nranks, double frequency_mhz, const RankBody& body,
   for (int r = 0; r < nranks; ++r)
     comms.push_back(
         std::unique_ptr<Comm>(new Comm(*this, r, nranks, plan.rank_faults(r))));
-
-  if (restore != nullptr) {
-    // Re-impose the checkpointed state on the freshly reset cluster.
-    // Everything a rank body can observe is overwritten here, so the
-    // continuation computes with bit-identical inputs.
-    if (static_cast<int>(restore->fabric_tx_busy.size()) != cfg_.num_nodes)
-      throw std::invalid_argument("checkpoint fabric size mismatch");
-    cluster_.fabric().restore({restore->fabric_tx_busy,
-                               restore->fabric_bytes,
-                               restore->fabric_messages});
-    for (int r = 0; r < nranks; ++r) {
-      const sim::RankCheckpoint& rc =
-          restore->ranks[static_cast<std::size_t>(r)];
-      sim::NodeState& node = cluster_.node(r);
-      node.clock.restore(rc.now, rc.by_activity);
-      node.executed = rc.executed;
-      node.activity_by_fkey = rc.activity_by_fkey;
-      node.cpu.set_frequency_mhz(rc.cpu_mhz);
-      Comm& c = *comms[static_cast<std::size_t>(r)];
-      c.collective_seq_ = rc.collective_seq;
-      c.isend_seq_ = rc.isend_seq;
-      c.rx_busy_ = rc.rx_busy;
-      c.comm_dvfs_mhz_ = rc.comm_dvfs_mhz;
-      c.in_comm_phase_ = rc.in_comm_phase;
-      c.app_mhz_ = rc.app_mhz;
-      c.stats_.messages_sent = rc.messages_sent;
-      c.stats_.bytes_sent = rc.bytes_sent;
-      c.stats_.messages_received = rc.messages_received;
-      c.stats_.bytes_received = rc.bytes_received;
-      c.stats_.collective_calls = rc.collective_calls;
-      c.stats_.sends_retried = rc.sends_retried;
-      c.faults_.set_rng_state(rc.fault_rng);
-      for (const sim::CheckpointMessage& m : rc.mailbox) {
-        Message msg;
-        msg.src = m.src;
-        msg.dst = r;
-        msg.tag = m.tag;
-        msg.bytes = m.bytes;
-        msg.at_switch = m.at_switch;
-        msg.rx_ser_s = m.rx_ser_s;
-        msg.data = m.data;
-        mailboxes_[static_cast<std::size_t>(r)]->deliver(std::move(msg));
-      }
-    }
-  }
 
   // Every rank must hold a worker for the whole run (ranks block on
   // each other through mailboxes and collectives), so the pool needs
@@ -217,58 +160,6 @@ RunResult Runtime::run(int nranks, double frequency_mhz, const RankBody& body,
     result.ranks.push_back(report);
   }
 
-  if (capture != nullptr) {
-    // The pool has joined: no rank is in flight, so the harvested state
-    // is exactly what the truncated bodies left behind. `boundary` and
-    // the kernel blobs are the caller's to merge.
-    capture->nranks = nranks;
-    capture->frequency_mhz = frequency_mhz;
-    capture->comm_dvfs_mhz = comms[0]->comm_dvfs_mhz_;
-    const sim::NetworkFabric::State fabric = cluster_.fabric().snapshot();
-    capture->fabric_tx_busy = fabric.tx_busy;
-    capture->fabric_bytes = fabric.total_bytes;
-    capture->fabric_messages = fabric.total_messages;
-    capture->ranks.assign(static_cast<std::size_t>(nranks), {});
-    for (int r = 0; r < nranks; ++r) {
-      sim::RankCheckpoint& rc = capture->ranks[static_cast<std::size_t>(r)];
-      const sim::NodeState& node = cluster_.node(r);
-      const Comm& c = *comms[static_cast<std::size_t>(r)];
-      rc.now = node.clock.now();
-      rc.by_activity = node.clock.by_activity();
-      rc.executed = node.executed;
-      rc.activity_by_fkey = node.activity_by_fkey;
-      rc.cpu_mhz = node.cpu.current().frequency_mhz();
-      rc.collective_seq = c.collective_seq_;
-      rc.isend_seq = c.isend_seq_;
-      rc.rx_busy = c.rx_busy_;
-      rc.comm_dvfs_mhz = c.comm_dvfs_mhz_;
-      rc.in_comm_phase = c.in_comm_phase_;
-      rc.app_mhz = c.app_mhz_;
-      rc.messages_sent = c.stats_.messages_sent;
-      rc.bytes_sent = c.stats_.bytes_sent;
-      rc.messages_received = c.stats_.messages_received;
-      rc.bytes_received = c.stats_.bytes_received;
-      rc.collective_calls = c.stats_.collective_calls;
-      rc.sends_retried = c.stats_.sends_retried;
-      rc.fault_rng = c.faults_.rng_state();
-      rc.ledger_ops = 0;
-      for (const Message& m : mailboxes_[static_cast<std::size_t>(r)]
-                                  ->snapshot()) {
-        sim::CheckpointMessage cm;
-        cm.src = m.src;
-        cm.tag = m.tag;
-        cm.bytes = m.bytes;
-        cm.at_switch = m.at_switch;
-        cm.rx_ser_s = m.rx_ser_s;
-        cm.data = m.data;
-        rc.mailbox.push_back(std::move(cm));
-      }
-    }
-    // A truncated run legitimately strands its in-flight messages —
-    // they are part of the checkpoint now. Drop them so the next run's
-    // stale-mailbox invariant stays meaningful.
-    for (auto& mb : mailboxes_) mb->clear();
-  }
   return result;
 }
 

@@ -17,7 +17,6 @@
 #include "pas/fault/fault.hpp"
 #include "pas/mpi/communicator.hpp"
 #include "pas/mpi/watchdog.hpp"
-#include "pas/sim/checkpoint.hpp"
 #include "pas/sim/cluster.hpp"
 #include "pas/sim/trace.hpp"
 #include "pas/sim/work_ledger.hpp"
@@ -87,20 +86,6 @@ class Runtime {
   /// runs (sweeps, parameterization passes) pay thread creation once
   /// per worker, not once per rank per run.
   RunResult run(int nranks, double frequency_mhz, const RankBody& body);
-
-  /// run() with checkpoint hooks (DESIGN.md §14). When `restore` is
-  /// non-null its simulator state (clocks, executed work, CPU points,
-  /// Comm internals, fault-stream positions, queued messages, fabric
-  /// occupancy) is applied after the reset and before any rank body
-  /// starts, so the run continues mid-kernel; the kernel re-creates its
-  /// own state from the checkpoint's per-rank blobs via IterationCtl.
-  /// When `capture` is non-null it is filled after a successful join
-  /// with everything except `boundary` and the kernel blobs (the
-  /// caller merges those — only the kernel knows them). The hooks are
-  /// incompatible with an armed ledger recorder: a restored segment
-  /// would record a partial, non-replayable ledger (throws logic_error).
-  RunResult run(int nranks, double frequency_mhz, const RankBody& body,
-                const sim::Checkpoint* restore, sim::Checkpoint* capture);
 
   /// Rank workers created so far (grows to the largest nranks seen).
   int pooled_rank_threads() const { return rank_pool_.spawned(); }

@@ -120,10 +120,6 @@ std::string CgKernel::signature() const {
   return pas::util::strf("CG(n=%d,iters=%d)", cfg_.n, cfg_.iterations);
 }
 
-std::string CgKernel::prefix_signature() const {
-  return pas::util::strf("CG(n=%d)", cfg_.n);
-}
-
 std::unique_ptr<Kernel> CgKernel::with_iterations(int iterations) const {
   CgConfig cfg = cfg_;
   cfg.iterations = iterations;
@@ -157,9 +153,7 @@ KernelResult CgKernel::run_ctl(mpi::Comm& comm,
   };
 
   // Manufacture u* from the analytic solution (ghosts analytic). Pure
-  // local math, charged as part of the cold-start setup below; a
-  // resumed rank rebuilds it for free (its charge is inside the
-  // restored clock already).
+  // local math, charged as part of the setup below.
   Vec ustar(s.size(), 0.0);
   for (int z = -1; z <= s.lz; ++z) {
     const int gz = s.z0 + z;
@@ -176,7 +170,7 @@ KernelResult CgKernel::run_ctl(mpi::Comm& comm,
   KernelResult result;
   result.name = name();
 
-  if (ctl.start_iter == 0) {
+  {  // b lives through set-up only.
     // Manufacture b = A u*, then CG with x0 = 0: r = b, p = r.
     Vec b(s.size(), 0.0);
     for (int z = 0; z < s.lz; ++z) {
@@ -199,35 +193,13 @@ KernelResult CgKernel::run_ctl(mpi::Comm& comm,
     rho = comm.allreduce_sum(local_dot(s, r, r));
     charge_vector_pass(comm, s, 2.0, 2.0);
     residuals.push_back(std::sqrt(rho));
-  } else {
-    if (ctl.load == nullptr)
-      throw std::logic_error("CG: resume requires checkpoint blobs");
-    sim::BlobReader in(
-        (*ctl.load)[static_cast<std::size_t>(comm.rank())]);
-    long long iter = 0, nres = 0;
-    if (!in.get_int(&iter) || iter != ctl.start_iter)
-      throw std::runtime_error("CG: checkpoint boundary mismatch");
-    if (!in.get_double(&rho) || !in.get_int(&nres) ||
-        nres != ctl.start_iter + 1)
-      throw std::runtime_error("CG: malformed checkpoint blob");
-    residuals.assign(static_cast<std::size_t>(nres), 0.0);
-    x.assign(s.size(), 0.0);
-    r.assign(s.size(), 0.0);
-    p.assign(s.size(), 0.0);
-    if (!in.get_doubles(residuals.data(), residuals.size()) ||
-        !in.get_doubles(x.data(), x.size()) ||
-        !in.get_doubles(r.data(), r.size()) ||
-        !in.get_doubles(p.data(), p.size()))
-      throw std::runtime_error("CG: truncated checkpoint blob");
   }
 
-  for (std::size_t i = 0; i < residuals.size(); ++i)
-    result.values[pas::util::strf("residual_%d", static_cast<int>(i))] =
-        residuals[i];
+  result.values["residual_0"] = residuals[0];
 
-  if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, ctl.start_iter);
+  if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, 0);
 
-  for (int it = ctl.start_iter + 1; it <= cfg_.iterations; ++it) {
+  for (int it = 1; it <= cfg_.iterations; ++it) {
     if (!ctl.detailed(it)) continue;
     matvec(comm, s, p, q);
     const double pq = comm.allreduce_sum(local_dot(s, p, q));
@@ -259,19 +231,6 @@ KernelResult CgKernel::run_ctl(mpi::Comm& comm,
     result.values[pas::util::strf("residual_%d", it)] = residuals.back();
 
     if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, it);
-    if (it == ctl.stop_at) {
-      sim::BlobWriter out;
-      out.put_int(it);
-      out.put_double(rho);
-      out.put_int(static_cast<long long>(residuals.size()));
-      out.put_doubles(residuals.data(), residuals.size());
-      out.put_doubles(x.data(), x.size());
-      out.put_doubles(r.data(), r.size());
-      out.put_doubles(p.data(), p.size());
-      (*ctl.save)[static_cast<std::size_t>(comm.rank())] = out.take();
-      result.note = pas::util::strf("CG truncated at iteration %d", it);
-      return result;
-    }
   }
 
   double err_inf = 0.0;

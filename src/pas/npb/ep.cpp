@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
-#include <stdexcept>
 #include <mutex>
 #include <tuple>
 #include <vector>
@@ -165,24 +164,15 @@ KernelResult EpKernel::run_ctl(mpi::Comm& comm,
   const std::uint64_t mine = base + (rank < extra ? 1 : 0);
   const std::uint64_t first = rank * base + std::min<std::uint64_t>(rank, extra);
 
-  if (ctl.load != nullptr) {
-    // The accumulator is a pure function of (seed, first, count): the
-    // blob only carries the batch index, everything else is recomputed.
-    sim::BlobReader r((*ctl.load)[static_cast<std::size_t>(rank)]);
-    long long it = 0;
-    if (!r.get_int(&it) || it != ctl.start_iter)
-      throw std::runtime_error("EP: checkpoint blob mismatch");
-  }
-
   const auto batch = static_cast<std::uint64_t>(cfg_.batch_pairs);
   const int total_batches = iteration_count(comm.size());
-  if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, ctl.start_iter);
+  if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, 0);
   // Scratch stays within a couple of KB: L1-resident, high reuse.
   const sim::AccessPattern pattern{
       .working_set_bytes = static_cast<std::size_t>(cfg_.batch_pairs) * 16,
       .stride_bytes = 8,
       .temporal_reuse = 3.0};
-  for (int it = ctl.start_iter + 1; it <= total_batches; ++it) {
+  for (int it = 1; it <= total_batches; ++it) {
     if (!ctl.detailed(it)) continue;
     const std::uint64_t done = static_cast<std::uint64_t>(it - 1) * batch;
     if (done < mine) {
@@ -191,17 +181,6 @@ KernelResult EpKernel::run_ctl(mpi::Comm& comm,
                       pattern, kRegOpsPerTrial * static_cast<double>(n));
     }
     if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, it);
-    if (it == ctl.stop_at) {
-      if (ctl.save != nullptr) {
-        sim::BlobWriter w;
-        w.put_int(it);
-        (*ctl.save)[static_cast<std::size_t>(rank)] = w.take();
-      }
-      KernelResult partial;
-      partial.name = name();
-      partial.note = pas::util::strf("EP truncated at batch %d", it);
-      return partial;
-    }
   }
 
   // Whole-slice accumulation in one pass is bit-identical to the old

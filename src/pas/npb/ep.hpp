@@ -47,8 +47,7 @@ class EpKernel final : public Kernel {
   /// One iteration = one charged batch on the widest rank (rank 0 gets
   /// the remainder trials, so its batch count is the maximum; narrower
   /// ranks run empty iterations past their slice to keep boundaries
-  /// aligned). No prefix_signature: EP's slice cache already collapses
-  /// repeat grid points, so checkpoint prefix-sharing buys nothing.
+  /// aligned).
   int iteration_count(int nranks) const override;
   KernelResult run_ctl(mpi::Comm& comm,
                        const IterationCtl& ctl) const override;

@@ -258,13 +258,6 @@ FtKernel::FtKernel(FtConfig cfg) : cfg_(cfg) {
   if (cfg_.niter < 1) throw std::invalid_argument("FT: niter >= 1");
 }
 
-std::string FtKernel::prefix_signature() const {
-  return pas::util::strf("FT(nx=%d,ny=%d,nz=%d,seed=%llu,alpha=%.17g,rt=%d)",
-                         cfg_.nx, cfg_.ny, cfg_.nz,
-                         static_cast<unsigned long long>(cfg_.seed),
-                         cfg_.alpha, cfg_.roundtrip_check ? 1 : 0);
-}
-
 std::unique_ptr<Kernel> FtKernel::with_iterations(int iterations) const {
   FtConfig cfg = cfg_;
   cfg.niter = iterations;
@@ -294,9 +287,8 @@ KernelResult FtKernel::run_ctl(mpi::Comm& comm,
   KernelResult result;
   result.name = name();
   std::vector<Complex> u1;
-  std::vector<double> checksums;  ///< (re, im) pairs, iteration order
 
-  if (ctl.start_iter == 0) {
+  {  // u0 lives through set-up only: the time steps read u1 alone.
     // --- initialize u0 with the NPB stream, by global row -------------
     std::vector<Complex> u0(s.a_size());
     for (int z = 0; z < s.lz; ++z) {
@@ -337,49 +329,13 @@ KernelResult FtKernel::run_ctl(mpi::Comm& comm,
       result.verified = true;
       result.note = "roundtrip check disabled";
     }
-  } else {
-    if (ctl.load == nullptr)
-      throw std::logic_error("FT: resume requires checkpoint blobs");
-    sim::BlobReader in(
-        (*ctl.load)[static_cast<std::size_t>(comm.rank())]);
-    long long iter = 0, verified = 0, nchecks = 0;
-    if (!in.get_int(&iter) || iter != ctl.start_iter)
-      throw std::runtime_error("FT: checkpoint boundary mismatch");
-    if (!in.get_int(&verified))
-      throw std::runtime_error("FT: malformed checkpoint blob");
-    result.verified = verified != 0;
-    if (cfg_.roundtrip_check) {
-      double err = 0.0;
-      if (!in.get_double(&err))
-        throw std::runtime_error("FT: malformed checkpoint blob");
-      result.values["roundtrip_err"] = err;
-      result.note = result.verified
-                        ? "inverse(forward(u0)) == u0"
-                        : pas::util::strf("roundtrip error %.3g", err);
-    } else {
-      result.note = "roundtrip check disabled";
-    }
-    if (!in.get_int(&nchecks) || nchecks != 2 * ctl.start_iter)
-      throw std::runtime_error("FT: malformed checkpoint blob");
-    checksums.assign(static_cast<std::size_t>(nchecks), 0.0);
-    u1.assign(s.b_size(), Complex(0.0, 0.0));
-    if (!in.get_doubles(checksums.data(), checksums.size()) ||
-        !in.get_doubles(reinterpret_cast<double*>(u1.data()),
-                        2 * u1.size()))
-      throw std::runtime_error("FT: truncated checkpoint blob");
   }
 
-  for (std::size_t i = 0; i + 1 < checksums.size(); i += 2) {
-    const int t = static_cast<int>(i / 2) + 1;
-    result.values[pas::util::strf("checksum_re_%d", t)] = checksums[i];
-    result.values[pas::util::strf("checksum_im_%d", t)] = checksums[i + 1];
-  }
-
-  if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, ctl.start_iter);
+  if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, 0);
 
   // --- time stepping ----------------------------------------------------
   const double pi2 = std::numbers::pi * std::numbers::pi;
-  for (int t = ctl.start_iter + 1; t <= cfg_.niter; ++t) {
+  for (int t = 1; t <= cfg_.niter; ++t) {
     if (!ctl.detailed(t)) continue;
     // Evolve in Fourier space (layout B).
     std::vector<Complex> w(u1.size());
@@ -415,23 +371,8 @@ KernelResult FtKernel::run_ctl(mpi::Comm& comm,
         comm.allreduce_sum(std::vector<double>{local_sum.real(), local_sum.imag()});
     result.values[pas::util::strf("checksum_re_%d", t)] = sum[0];
     result.values[pas::util::strf("checksum_im_%d", t)] = sum[1];
-    checksums.push_back(sum[0]);
-    checksums.push_back(sum[1]);
 
     if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, t);
-    if (t == ctl.stop_at) {
-      sim::BlobWriter out;
-      out.put_int(t);
-      out.put_int(result.verified ? 1 : 0);
-      if (cfg_.roundtrip_check) out.put_double(result.values["roundtrip_err"]);
-      out.put_int(static_cast<long long>(checksums.size()));
-      out.put_doubles(checksums.data(), checksums.size());
-      out.put_doubles(reinterpret_cast<const double*>(u1.data()),
-                      2 * u1.size());
-      (*ctl.save)[static_cast<std::size_t>(comm.rank())] = out.take();
-      result.note = pas::util::strf("FT truncated at step %d", t);
-      return result;
-    }
   }
 
   return result;

@@ -59,7 +59,6 @@ class FtKernel final : public Kernel {
     (void)nranks;
     return cfg_.niter;
   }
-  std::string prefix_signature() const override;
   std::unique_ptr<Kernel> with_iterations(int iterations) const override;
   KernelResult run_ctl(mpi::Comm& comm,
                        const IterationCtl& ctl) const override;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "pas/mpi/communicator.hpp"
-#include "pas/sim/checkpoint.hpp"
 #include "pas/sim/memory_hierarchy.hpp"
 #include "pas/sim/sampling.hpp"
 
@@ -31,46 +30,26 @@ struct KernelResult {
   double value(const std::string& key) const;
 };
 
-/// Per-rank opaque kernel state, indexed by rank (sim::BlobWriter /
-/// sim::BlobReader round-trip doubles bit-exactly).
-using CheckpointBlobs = std::vector<std::string>;
-
-/// Iteration-level execution control for checkpointing and sampled
-/// estimation (DESIGN.md §14). Default-constructed = the plain exact
-/// run. Iterations are 1-based; `start_iter` names the last completed
-/// iteration of the restored prefix (0 = from scratch).
+/// Iteration-level execution control for sampled estimation
+/// (DESIGN.md §14). Default-constructed = the plain exact run.
+/// Iterations are 1-based.
 struct IterationCtl {
-  int start_iter = 0;  ///< resume after this boundary (0 = cold start)
-  /// Per-rank kernel blobs of the checkpoint being resumed; required
-  /// when start_iter > 0.
-  const CheckpointBlobs* load = nullptr;
-  /// Truncate: return a partial result right after completing this
-  /// iteration (0 = run to completion).
-  int stop_at = 0;
-  /// When truncating, each rank serializes its kernel state here
-  /// (pre-sized by the caller, one slot per rank).
-  CheckpointBlobs* save = nullptr;
   /// Systematic sampling: execute the first `warmup_iters` iterations
-  /// after start_iter in detail, then every `sample_period`-th; skip
-  /// the rest entirely. 0 = every iteration (exact).
+  /// in detail, then every `sample_period`-th; skip the rest entirely.
+  /// 0 = every iteration (exact).
   int sample_period = 0;
   int warmup_iters = 0;
   /// Boundary-snapshot sink; each rank records at every detailed
-  /// iteration boundary (plus the start_iter baseline).
+  /// iteration boundary (plus the iteration-0 baseline).
   sim::SampleProbe* probe = nullptr;
 
-  bool trivial() const {
-    return start_iter == 0 && stop_at == 0 && sample_period <= 1 &&
-           probe == nullptr;
-  }
+  bool trivial() const { return sample_period <= 1 && probe == nullptr; }
 
   /// Is 1-based iteration `it` executed in detail under this plan?
   /// Shared by every kernel so all ranks (and the estimator) agree.
   bool detailed(int it) const {
-    if (sample_period <= 1) return true;
-    const int r = it - start_iter;
-    if (r <= warmup_iters) return true;
-    return (r - warmup_iters - 1) % sample_period == 0;
+    if (sample_period <= 1 || it <= warmup_iters) return true;
+    return (it - warmup_iters - 1) % sample_period == 0;
   }
 };
 
@@ -101,7 +80,7 @@ class Kernel {
   /// result; rank 0's carries the verification verdict.
   virtual KernelResult run(mpi::Comm& comm) const = 0;
 
-  // ---- iteration-level control (checkpointing + sampling) -------------
+  // ---- iteration-level control (sampling) -----------------------------
   /// Number of top-level iterations this kernel runs at `nranks` ranks,
   /// or 0 when the kernel has no iteration hooks (run_ctl then only
   /// accepts a trivial IterationCtl).
@@ -109,13 +88,6 @@ class Kernel {
     (void)nranks;
     return 0;
   }
-
-  /// Identity of the *iteration-boundary prefix*: like signature() but
-  /// with the total iteration count struck out, so runs of the same
-  /// configuration differing only in how many iterations they execute
-  /// share checkpoints up to the common boundary. Empty = no prefix
-  /// sharing (checkpoints then key on the full signature).
-  virtual std::string prefix_signature() const { return {}; }
 
   /// A copy of this kernel with the top-level iteration count replaced
   /// (the sweep-level `iterations` override), or nullptr when the
@@ -125,10 +97,9 @@ class Kernel {
     return nullptr;
   }
 
-  /// run() under an IterationCtl plan: resume from a checkpoint blob,
-  /// truncate at a boundary (serializing state), and/or execute only
-  /// the sampled subset of iterations. A trivial ctl must be exactly
-  /// run(); kernels without iteration hooks reject non-trivial plans.
+  /// run() under an IterationCtl plan: execute only the sampled subset
+  /// of iterations. A trivial ctl must be exactly run(); kernels
+  /// without iteration hooks reject non-trivial plans.
   virtual KernelResult run_ctl(mpi::Comm& comm, const IterationCtl& ctl) const;
 };
 

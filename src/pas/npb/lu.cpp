@@ -104,26 +104,6 @@ void sweep_plane(const Relax& relax, std::ptrdiff_t origin, int rows,
     for (int b = 0; b < cols; ++b) relax(origin + Dir * (a * relax.Y + b));
 }
 
-/// Checkpoint blobs carry u in (i, j, k) order with k fastest, whatever
-/// the in-memory layout: the blob format stays the one `ckpt-v5`
-/// entries on disk were written in.
-std::vector<double> to_ijk(const Tile& t, const std::vector<double>& u) {
-  std::vector<double> out;
-  out.reserve(u.size());
-  for (int i = 0; i < t.X; ++i)
-    for (int j = 0; j < t.Y; ++j)
-      for (int k = 0; k < t.Z; ++k) out.push_back(u[t.idx(i, j, k)]);
-  return out;
-}
-
-void from_ijk(const Tile& t, const std::vector<double>& in,
-              std::vector<double>& u) {
-  std::size_t p = 0;
-  for (int i = 0; i < t.X; ++i)
-    for (int j = 0; j < t.Y; ++j)
-      for (int k = 0; k < t.Z; ++k) u[t.idx(i, j, k)] = in[p++];
-}
-
 /// Charges the stencil work of one k-plane of the tile.
 void charge_plane(mpi::Comm& comm, const Tile& t, std::size_t array_bytes) {
   const double pts = static_cast<double>(t.tx) * t.ty;
@@ -188,10 +168,6 @@ ProcGrid lu_proc_grid(int nranks) {
 std::string LuKernel::signature() const {
   return pas::util::strf("LU(n=%d,iters=%d,omega=%.17g)", cfg_.n,
                          cfg_.iterations, cfg_.omega);
-}
-
-std::string LuKernel::prefix_signature() const {
-  return pas::util::strf("LU(n=%d,omega=%.17g)", cfg_.n, cfg_.omega);
 }
 
 std::unique_ptr<Kernel> LuKernel::with_iterations(int iterations) const {
@@ -266,14 +242,11 @@ KernelResult LuKernel::run_ctl(mpi::Comm& comm,
         rhs[t.idx(i, j, k)] = fxy * sin_z[static_cast<std::size_t>(k)];
     }
   }
-  if (ctl.start_iter == 0) {
-    charged_compute(comm,
-                    2.0 * static_cast<double>(cfg_.n) * t.tx * t.ty,
-                    sim::AccessPattern{.working_set_bytes = array_bytes,
-                                       .stride_bytes = 8,
-                                       .temporal_reuse = 1.0},
-                    30.0 * static_cast<double>(cfg_.n) * t.tx * t.ty);
-  }
+  charged_compute(comm, 2.0 * static_cast<double>(cfg_.n) * t.tx * t.ty,
+                  sim::AccessPattern{.working_set_bytes = array_bytes,
+                                     .stride_bytes = 8,
+                                     .temporal_reuse = 1.0},
+                  30.0 * static_cast<double>(cfg_.n) * t.tx * t.ty);
 
   const Relax relax{u.data(), rhs.data(), t.Y, t.plane(), h2, omega};
   // Squared residual terms of one i-row, at their (j, k) positions.
@@ -314,33 +287,12 @@ KernelResult LuKernel::run_ctl(mpi::Comm& comm,
 
   KernelResult result;
   result.name = name();
-  std::vector<double> residuals;
-  if (ctl.start_iter == 0) {
-    residuals.push_back(residual_rms());
-  } else {
-    if (ctl.load == nullptr)
-      throw std::logic_error("LU: resume requires checkpoint blobs");
-    sim::BlobReader in(
-        (*ctl.load)[static_cast<std::size_t>(comm.rank())]);
-    long long iter = 0, nres = 0;
-    if (!in.get_int(&iter) || iter != ctl.start_iter)
-      throw std::runtime_error("LU: checkpoint boundary mismatch");
-    if (!in.get_int(&nres) || nres != ctl.start_iter + 1)
-      throw std::runtime_error("LU: malformed checkpoint blob");
-    residuals.assign(static_cast<std::size_t>(nres), 0.0);
-    std::vector<double> ijk(u.size());
-    if (!in.get_doubles(residuals.data(), residuals.size()) ||
-        !in.get_doubles(ijk.data(), ijk.size()))
-      throw std::runtime_error("LU: truncated checkpoint blob");
-    from_ijk(t, ijk, u);
-  }
-  for (std::size_t i = 0; i < residuals.size(); ++i)
-    result.values[pas::util::strf("residual_%d", static_cast<int>(i))] =
-        residuals[i];
+  std::vector<double> residuals{residual_rms()};
+  result.values["residual_0"] = residuals[0];
 
-  if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, ctl.start_iter);
+  if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, 0);
 
-  for (int iter = ctl.start_iter + 1; iter <= cfg_.iterations; ++iter) {
+  for (int iter = 1; iter <= cfg_.iterations; ++iter) {
     if (!ctl.detailed(iter)) continue;
     // --- ghost exchange: old east/south values for the lower sweep ----
     if (t.has_west()) comm.send(t.west(), kTagFaceEW, pack_x_column(t, u, 1));
@@ -406,17 +358,6 @@ KernelResult LuKernel::run_ctl(mpi::Comm& comm,
     result.values[pas::util::strf("residual_%d", iter)] = residuals.back();
 
     if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, iter);
-    if (iter == ctl.stop_at) {
-      sim::BlobWriter out;
-      out.put_int(iter);
-      out.put_int(static_cast<long long>(residuals.size()));
-      out.put_doubles(residuals.data(), residuals.size());
-      const std::vector<double> ijk = to_ijk(t, u);
-      out.put_doubles(ijk.data(), ijk.size());
-      (*ctl.save)[static_cast<std::size_t>(comm.rank())] = out.take();
-      result.note = pas::util::strf("LU truncated at iteration %d", iter);
-      return result;
-    }
   }
 
   // Deviation from the exact solution sin(pi x) sin(pi y) sin(pi z).

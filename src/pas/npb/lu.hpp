@@ -65,7 +65,6 @@ class LuKernel final : public Kernel {
     (void)nranks;
     return cfg_.iterations;
   }
-  std::string prefix_signature() const override;
   std::unique_ptr<Kernel> with_iterations(int iterations) const override;
   KernelResult run_ctl(mpi::Comm& comm,
                        const IterationCtl& ctl) const override;

@@ -211,13 +211,6 @@ MgKernel::MgKernel(MgConfig cfg) : cfg_(cfg) {
   if (cfg_.cycles < 1) throw std::invalid_argument("MG: cycles >= 1");
 }
 
-std::string MgKernel::prefix_signature() const {
-  return pas::util::strf("MG(n=%d,levels=%d,pre=%d,post=%d,coarse=%d,w=%.17g)",
-                         cfg_.n, cfg_.levels, cfg_.pre_smooth,
-                         cfg_.post_smooth, cfg_.coarse_smooth,
-                         cfg_.jacobi_weight);
-}
-
 std::unique_ptr<Kernel> MgKernel::with_iterations(int iterations) const {
   MgConfig cfg = cfg_;
   cfg.cycles = iterations;
@@ -270,9 +263,7 @@ KernelResult MgKernel::run_ctl(mpi::Comm& comm,
       for (int y = 0; y < fine.n; ++y)
         for (int x = 0; x < fine.n; ++x)
           h.rhs[0][fine.idx(z, y, x)] = stencil(fine, ustar, z, y, x);
-    // A resumed rank rebuilds the (deterministic) rhs for free — its
-    // setup charge is inside the restored clock already.
-    if (ctl.start_iter == 0) charge_level_pass(comm, fine, 9.0, 12.0);
+    charge_level_pass(comm, fine, 9.0, 12.0);
   }
 
   auto residual_norm = [&]() {
@@ -289,31 +280,12 @@ KernelResult MgKernel::run_ctl(mpi::Comm& comm,
 
   KernelResult result;
   result.name = name();
-  std::vector<double> norms;
-  if (ctl.start_iter == 0) {
-    norms.push_back(residual_norm());
-  } else {
-    if (ctl.load == nullptr)
-      throw std::logic_error("MG: resume requires checkpoint blobs");
-    sim::BlobReader in(
-        (*ctl.load)[static_cast<std::size_t>(comm.rank())]);
-    long long cycle = 0, nn = 0;
-    if (!in.get_int(&cycle) || cycle != ctl.start_iter)
-      throw std::runtime_error("MG: checkpoint boundary mismatch");
-    if (!in.get_int(&nn) || nn != ctl.start_iter + 1)
-      throw std::runtime_error("MG: malformed checkpoint blob");
-    norms.assign(static_cast<std::size_t>(nn), 0.0);
-    if (!in.get_doubles(norms.data(), norms.size()) ||
-        !in.get_doubles(h.u[0].data(), h.u[0].size()))
-      throw std::runtime_error("MG: truncated checkpoint blob");
-  }
-  for (std::size_t i = 0; i < norms.size(); ++i)
-    result.values[pas::util::strf("residual_%d", static_cast<int>(i))] =
-        norms[i];
+  std::vector<double> norms{residual_norm()};
+  result.values["residual_0"] = norms[0];
 
-  if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, ctl.start_iter);
+  if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, 0);
 
-  for (int cycle = ctl.start_iter + 1; cycle <= cfg_.cycles; ++cycle) {
+  for (int cycle = 1; cycle <= cfg_.cycles; ++cycle) {
     if (!ctl.detailed(cycle)) continue;
     // Down-sweep.
     for (int l = 0; l + 1 < cfg_.levels; ++l) {
@@ -331,16 +303,6 @@ KernelResult MgKernel::run_ctl(mpi::Comm& comm,
     result.values[pas::util::strf("residual_%d", cycle)] = norms.back();
 
     if (ctl.probe != nullptr) comm.sample_boundary(*ctl.probe, cycle);
-    if (cycle == ctl.stop_at) {
-      sim::BlobWriter out;
-      out.put_int(cycle);
-      out.put_int(static_cast<long long>(norms.size()));
-      out.put_doubles(norms.data(), norms.size());
-      out.put_doubles(h.u[0].data(), h.u[0].size());
-      (*ctl.save)[static_cast<std::size_t>(comm.rank())] = out.take();
-      result.note = pas::util::strf("MG truncated at cycle %d", cycle);
-      return result;
-    }
   }
 
   if (comm.rank() == 0 && ctl.sample_period > 1) {

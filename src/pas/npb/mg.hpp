@@ -56,7 +56,6 @@ class MgKernel final : public Kernel {
     (void)nranks;
     return cfg_.cycles;
   }
-  std::string prefix_signature() const override;
   std::unique_ptr<Kernel> with_iterations(int iterations) const override;
   KernelResult run_ctl(mpi::Comm& comm,
                        const IterationCtl& ctl) const override;

@@ -181,8 +181,6 @@ std::string sweep_counters_summary() {
     } else if (r.name == "sweep.points_sampled") {
       sampled = r.value != "0";
       append("sampled", r.value);
-    } else if (r.name == "sweep.points_warmstarted") {
-      append("warm-started", r.value);
     } else if (r.name == "sampling.ci_halfwidth_max") {
       ci = r.value;
     }

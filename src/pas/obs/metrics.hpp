@@ -155,7 +155,7 @@ class Registry {
 Registry& registry();
 
 /// One-line bench-footer summary of the sweep engine's stable
-/// acceleration counters — repriced / sampled / warm-started points and
+/// acceleration counters — repriced / sampled points and
 /// the maximum sampled CI half-width (DESIGN.md §10, §14). Reads the
 /// registry without registering anything, so rows only appear for
 /// features that actually ran; empty when none of them did.

@@ -58,7 +58,6 @@ void fill_column_spec(analysis::SweepSpec* dst, const analysis::SweepSpec& src,
   dst->options.sample_period = src.options.sample_period;
   dst->options.warmup_iters = src.options.warmup_iters;
   dst->options.verify_sampling = src.options.verify_sampling;
-  dst->options.checkpoints = src.options.checkpoints;
 }
 
 /// A column worker's child body: a fresh executor over the column's

@@ -139,25 +139,6 @@ class NetworkFabric {
 
   void reset();
 
-  /// Checkpoint capture/restore: per-port "busy until" occupancy plus
-  /// the traffic totals. Only meaningful with no transfer in flight
-  /// (the runtime calls these after the rank pool has joined).
-  struct State {
-    std::vector<double> tx_busy;
-    std::size_t total_bytes = 0;
-    std::size_t total_messages = 0;
-  };
-  State snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return State{tx_busy_, total_bytes_, total_messages_};
-  }
-  void restore(const State& s) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    tx_busy_ = s.tx_busy;
-    total_bytes_ = s.total_bytes;
-    total_messages_ = s.total_messages;
-  }
-
  private:
   NetworkConfig cfg_;
   mutable std::mutex mutex_;

@@ -30,8 +30,7 @@ namespace pas::sim {
 /// Per-rank state snapshot at one iteration boundary. All fields are
 /// cumulative since run start (deltas are taken by the estimator).
 struct RankSample {
-  int iter = 0;  ///< 1-based iteration just completed (start baseline: 0
-                 ///< or the resume boundary)
+  int iter = 0;  ///< 1-based iteration just completed (0 = start baseline)
   double now = 0.0;
   std::array<double, kNumActivities> by_activity{};
   InstructionMix executed;

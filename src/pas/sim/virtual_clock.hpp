@@ -43,15 +43,9 @@ class VirtualClock {
 
   void reset();
 
-  /// Per-activity totals, for checkpoint capture.
+  /// Per-activity totals, for sampled-run boundary probes.
   const std::array<double, kNumActivities>& by_activity() const {
     return by_activity_;
-  }
-
-  /// Overwrites the full clock state (checkpoint restore).
-  void restore(double now, const std::array<double, kNumActivities>& by) {
-    now_ = now;
-    by_activity_ = by;
   }
 
   std::string to_string() const;

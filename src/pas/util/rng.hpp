@@ -5,7 +5,6 @@
 // constants are part of the benchmark definition.
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 namespace pas::util {
@@ -54,15 +53,6 @@ class Xoshiro256 {
   /// Uniform integer in [0, bound) (bound > 0); slight modulo bias is
   /// acceptable for workload generation.
   std::uint64_t next_below(std::uint64_t bound) { return next() % bound; }
-
-  /// Stream position, for checkpoint capture/restore: a restored
-  /// generator continues the exact draw sequence.
-  std::array<std::uint64_t, 4> state() const {
-    return {s_[0], s_[1], s_[2], s_[3]};
-  }
-  void set_state(const std::array<std::uint64_t, 4>& s) {
-    for (int i = 0; i < 4; ++i) s_[i] = s[i];
-  }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -220,6 +221,33 @@ TEST(CrashResume, CorruptCacheEntriesQuarantineAndResimulate) {
   for (const auto& ledger_entry : ledger_entries)
     EXPECT_TRUE(std::filesystem::exists(ledger_entry.string() + ".bad"))
         << ledger_entry;
+}
+
+// `.ckpt` files are checkpoint entries older builds wrote. Nothing
+// reads them any more, but a capped cache still counts them, and as the
+// least recently used entries they age out first.
+TEST(CrashResume, CapAgesOutStaleCheckpointFiles) {
+  const auto env = ExperimentEnv::small();
+  const auto kernel = make_kernel("FT", Scale::kSmall);
+  const std::string dir = temp_dir("stale_ckpt");
+  const std::filesystem::path stale =
+      std::filesystem::path(dir) / "00000000deadbeef_b8.ckpt";
+  ASSERT_EQ(pas::util::atomic_write_file(stale.string(),
+                                         std::string(64 * 1024, 'x')),
+            0);
+  std::filesystem::last_write_time(
+      stale, std::filesystem::last_write_time(stale) - std::chrono::hours(1));
+
+  RunMatrix matrix(env.cluster);
+  const RunRecord rec = matrix.run_one(*kernel, 2, 600.0);
+  const std::string key = RunCache::key(*kernel, env.cluster,
+                                        power::PowerModel(), 2, 600.0, 0.0);
+  // 64 KB of stale checkpoint plus the record is over the 32 KB cap.
+  RunCache(dir, 32 * 1024).store(key, rec);
+  EXPECT_FALSE(std::filesystem::exists(stale));
+  const std::optional<RunRecord> hit = RunCache(dir).lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  expect_identical(*hit, rec);
 }
 
 TEST(CrashResume, SimulatedEnospcDegradesWithoutCorruptingResults) {

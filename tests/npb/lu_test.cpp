@@ -10,7 +10,6 @@
 
 #include "pas/mpi/runtime.hpp"
 #include "pas/util/format.hpp"
-#include "pas/util/fs.hpp"
 
 namespace pas::npb {
 namespace {
@@ -267,25 +266,6 @@ INSTANTIATE_TEST_SUITE_P(
       return "n" + std::to_string(info.param.n) + "N" +
              std::to_string(info.param.nranks);
     });
-
-// A checkpoint blob keeps u in (i, j, k) order with k fastest, whatever
-// the memory layout, so .ckpt entries already on disk restore. fnv1a
-// of each rank's blob at boundary 1, recorded from the k-fastest layout.
-TEST(LuCheckpoint, BlobBytesPinned) {
-  LuConfig cfg;
-  cfg.n = 20;
-  cfg.iterations = 2;
-  CheckpointBlobs blobs(2);
-  IterationCtl ctl;
-  ctl.stop_at = 1;
-  ctl.save = &blobs;
-  mpi::Runtime rt(sim::ClusterConfig::paper_testbed(16));
-  rt.run(2, 1000, [&](mpi::Comm& comm) {
-    (void)LuKernel(cfg).run_ctl(comm, ctl);
-  });
-  EXPECT_EQ(util::fnv1a(blobs[0]), 0xe11807c0e3185b28ULL);
-  EXPECT_EQ(util::fnv1a(blobs[1]), 0xf7c899e4ea14ca4bULL);
-}
 
 }  // namespace
 }  // namespace pas::npb

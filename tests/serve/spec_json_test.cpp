@@ -148,6 +148,9 @@ TEST(SpecJson, RejectsV2FieldsInV1Documents) {
   EXPECT_THROW(
       SweepSpec::parse(R"({"version": 1, "options": {"checkpoints": true}})"),
       std::invalid_argument);
+  EXPECT_THROW(
+      SweepSpec::parse(R"({"version": 1, "options": {"checkpoints": false}})"),
+      std::invalid_argument);
   // The same fields parse in a v2 document.
   const SweepSpec v2 = SweepSpec::parse(
       R"({"version": 2, "iterations": 8,
@@ -158,6 +161,26 @@ TEST(SpecJson, RejectsV2FieldsInV1Documents) {
   EXPECT_EQ(v2.options.sample_period, 5);
   EXPECT_EQ(v2.options.warmup_iters, 1);
   EXPECT_DOUBLE_EQ(v2.options.verify_sampling, 0.5);
+}
+
+// Checkpoint warm-starts were removed. Every document an earlier build
+// wrote carries "checkpoints": false, so false still parses (and is not
+// written back); true names the removal.
+TEST(SpecJson, RemovedCheckpointsMemberParsesOnlyAsFalse) {
+  const SweepSpec old_doc = SweepSpec::parse(
+      R"({"version": 2, "options": {"checkpoints": false}})");
+  EXPECT_EQ(old_doc.to_json().find("options")->find("checkpoints"), nullptr);
+  const SweepSpec defaults;
+  EXPECT_EQ(dump(old_doc), dump(defaults));
+  try {
+    SweepSpec::parse(R"({"version": 2, "options": {"checkpoints": true}})");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "options.checkpoints: checkpoint warm-starts were removed"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SpecJson, RejectsUnknownKeysAtEveryLevel) {
@@ -252,6 +275,12 @@ TEST(SpecJson, FromCliReportsRejectedValuesAsUsageErrors) {
   EXPECT_EQ(SweepSpec::from_cli(make_cli({"--iterations", "48"}), "FT")
                 .iterations,
             48);
+  // --checkpoints left the shared flag set with checkpoint warm-starts:
+  // Cli::check_usage rejects it like any unknown option.
+  EXPECT_EXIT(make_cli({"--checkpoints"})
+                  .check_usage(SweepSpec::cli_option_names()),
+              testing::ExitedWithCode(2),
+              "^prog: unknown option --checkpoints");
 }
 
 // Eq 1 divides by T_1: a binary that prints speedups rejects a node
@@ -263,6 +292,38 @@ TEST(SpecJson, GridWithoutBaseNodeIsAUsageError) {
               "^prog: nodes: the grid 2,4 has no N=1");
   const util::Cli with_base = make_cli({"--small", "--nodes", "4,1"});
   require_base_node(with_base, env_for_spec(SweepSpec::from_cli(with_base)));
+
+  // Grids with N=1 that still lack what an analysis reads off them.
+  const GridNeeds shape{1, 1, "the shape check"};
+  const auto rejected = [](std::initializer_list<const char*> args,
+                           const GridNeeds& needs, const char* message) {
+    const util::Cli c = make_cli(args);
+    EXPECT_EXIT(require_base_node(c, env_for_spec(SweepSpec::from_cli(c)),
+                                  needs),
+                testing::ExitedWithCode(2), message);
+  };
+  rejected({"--small", "--nodes", "1,4"}, kWorkloadFitNeeds,
+           "^prog: nodes: the grid 1,4 has 1 node count above 1, but the "
+           "workload fit .* needs 2");
+  rejected({"--small", "--nodes", "1,4,4"}, kWorkloadFitNeeds,
+           "^prog: nodes: the grid 1,4,4 has 1 node count above 1");
+  rejected({"--small", "--nodes", "1,2", "--freqs", "600"}, kWorkloadFitNeeds,
+           "^prog: nodes: the grid 1,2 has 1 node count above 1");
+  rejected({"--small", "--nodes", "1,2,4", "--freqs", "600"},
+           kWorkloadFitNeeds,
+           "^prog: freqs: the grid 600 has 1 distinct frequency, but the "
+           "workload fit .* needs 2");
+  rejected({"--small", "--nodes", "1", "--freqs", "600,1400"}, shape,
+           "^prog: nodes: the grid 1 has 0 node counts above 1, but the "
+           "shape check needs 1");
+  const util::Cli fits = make_cli({"--small", "--nodes", "1,2,4",
+                                   "--freqs", "1400,600"});
+  require_base_node(fits, env_for_spec(SweepSpec::from_cli(fits)),
+                    kWorkloadFitNeeds);
+  const util::Cli one_above = make_cli({"--small", "--nodes", "1,4"});
+  const ExperimentEnv env14 = env_for_spec(SweepSpec::from_cli(one_above));
+  require_base_node(one_above, env14, shape);
+  EXPECT_EQ(env14.min_parallel_nodes(), 4);
 }
 
 TEST(SpecJson, LoadNamesThePathOnError) {
