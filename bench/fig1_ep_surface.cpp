@@ -12,6 +12,7 @@
 #include "pas/analysis/sweep_executor.hpp"
 #include "pas/obs/observer.hpp"
 #include "pas/util/cli.hpp"
+#include "pas/util/format.hpp"
 #include "pas/util/stats.hpp"
 
 int main(int argc, char** argv) {
@@ -35,7 +36,8 @@ int main(int argc, char** argv) {
 
   const auto fig_b = analysis::speedup_surface(
       measured.times, env.nodes, env.freqs_mhz, env.base_f_mhz,
-      "Fig 1b: EP two-dimensional speedup (base 1 node @ 600 MHz)");
+      util::strf("Fig 1b: EP two-dimensional speedup (base 1 node @ %g MHz)",
+                 env.base_f_mhz));
   std::fputs(fig_b.to_string().c_str(), stdout);
 
   // Eq 12 check: the analytic EP speedup is N * f / f0.

@@ -12,6 +12,7 @@
 #include "pas/analysis/sweep_executor.hpp"
 #include "pas/obs/observer.hpp"
 #include "pas/util/cli.hpp"
+#include "pas/util/format.hpp"
 
 int main(int argc, char** argv) {
   using namespace pas;
@@ -33,14 +34,15 @@ int main(int argc, char** argv) {
 
   const auto fig_b = analysis::speedup_surface(
       measured.times, env.nodes, env.freqs_mhz, env.base_f_mhz,
-      "Fig 2b: FT two-dimensional speedup (base 1 node @ 600 MHz)");
+      util::strf("Fig 2b: FT two-dimensional speedup (base 1 node @ %g MHz)",
+                 env.base_f_mhz));
   std::fputs(fig_b.to_string().c_str(), stdout);
 
   const int n2 = env.min_parallel_nodes();
   const double t1 = measured.times.at(1, env.base_f_mhz);
   const double t2 = measured.times.at(n2, env.base_f_mhz);
-  std::printf("shape: T(%d) > T(1) at 600 MHz -> %s (%.3fs vs %.3fs)\n", n2,
-              t2 > t1 ? "OK" : "MISMATCH", t2, t1);
+  std::printf("shape: T(%d) > T(1) at %g MHz -> %s (%.3fs vs %.3fs)\n", n2,
+              env.base_f_mhz, t2 > t1 ? "OK" : "MISMATCH", t2, t1);
   const int top_n = env.max_nodes();
   const double fgain1 = measured.times.at(1, env.base_f_mhz) /
                         measured.times.at(1, env.top_f_mhz());

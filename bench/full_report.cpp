@@ -81,11 +81,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  report.md =
+  report.md = util::strf(
       "# PASim reproduction report\n\n"
       "Regenerated artifacts for *Power-Aware Speedup* (Ge & Cameron, "
       "IPDPS 2007) on the simulated 16-node Pentium-M testbed. Base "
-      "configuration: 1 node @ 600 MHz.\n";
+      "configuration: 1 node @ %g MHz.\n",
+      env.base_f_mhz);
 
   analysis::SweepExecutor executor(spec);
 

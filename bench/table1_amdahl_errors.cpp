@@ -13,6 +13,7 @@
 #include "pas/core/baseline_models.hpp"
 #include "pas/obs/observer.hpp"
 #include "pas/util/cli.hpp"
+#include "pas/util/format.hpp"
 
 int main(int argc, char** argv) {
   using namespace pas;
@@ -35,9 +36,10 @@ int main(int argc, char** argv) {
       },
       env.parallel_nodes, env.freqs_mhz, 1, env.base_f_mhz);
 
-  const auto table = errors.render(
+  const auto table = errors.render(util::strf(
       "Table 1: FT speedup prediction error of the Eq 3 product form "
-      "(base: 1 node @ 600 MHz)");
+      "(base: 1 node @ %g MHz)",
+      env.base_f_mhz));
   std::fputs(table.to_string().c_str(), stdout);
   std::printf("max error %.1f%%, mean error %.1f%%\n",
               errors.max_error() * 100.0, errors.mean_error() * 100.0);

@@ -247,7 +247,21 @@ if have_sanitizer address,undefined; then
   # (§13) fork and SIGKILL themselves on purpose — ASan, never TSan
   # (fork and TSan don't mix).
   ./build-asan/tests/robustness_test
-  ./build-asan/tests/serve_test
+  # A worker that inherits a lock held at fork waits out its deadline
+  # (300 s) and retries: the wall-clock limit turns that hang into a
+  # failure, and a healthy server logs no warning while it serves.
+  timeout 300 ./build-asan/tests/serve_test --gtest_filter='-ServeServer.*'
+  ASAN_SERVE_LOG="$(mktemp)"
+  if ! timeout 120 ./build-asan/tests/serve_test \
+      --gtest_filter='ServeServer.*' > "$ASAN_SERVE_LOG" 2>&1; then
+    cat "$ASAN_SERVE_LOG"; rm -f "$ASAN_SERVE_LOG"
+    echo "ServeServer.* failed or timed out under ASan"; exit 1
+  fi
+  if grep -q '\[warn\]' "$ASAN_SERVE_LOG"; then
+    cat "$ASAN_SERVE_LOG"; rm -f "$ASAN_SERVE_LOG"
+    echo "healthy ServeServer.* tests logged warnings under ASan"; exit 1
+  fi
+  rm -f "$ASAN_SERVE_LOG"
 else
   echo "skipped: this toolchain does not support -fsanitize=address,undefined"
 fi
@@ -479,6 +493,16 @@ for grid in "--nodes 1,4" "--nodes 1,2 --freqs 600" \
     grid_answers "$bin" --no-cache $grid
   done
 done
+# Labels name the grid's real base frequency: its smallest one.
+./build/bench/fig2_ft_surface --small --no-cache --freqs 800,1400 \
+  > "$SERVE_DIR/base800.txt"
+grep -q '@ 800 MHz' "$SERVE_DIR/base800.txt" || {
+  echo "fig2 on an 800-1400 MHz grid does not print its 800 MHz base:"
+  cat "$SERVE_DIR/base800.txt"; exit 1; }
+if grep -q '600 MHz' "$SERVE_DIR/base800.txt"; then
+  echo "fig2 on an 800-1400 MHz grid prints a 600 MHz base:"
+  cat "$SERVE_DIR/base800.txt"; exit 1
+fi
 # Shape checks read the axes' extremes, not their ends: a descending
 # frequency axis prints the ascending run's shape verdicts.
 ./build/bench/fig2_ft_surface --small --no-cache --freqs 600,1000,1400 |
@@ -503,6 +527,28 @@ echo "== tier 1: serve (cold / warm / concurrent vs offline) =="
 # records whose artifacts are byte-identical to an offline run of the
 # same spec — cold (workers simulate), warm (pure cache hits) and under
 # concurrent duplicate submissions (in-flight dedup).
+# Every process below pid $1: pasim_serve's worker zygote and the
+# workers it forked.
+descendants() {
+  local child
+  for child in $(pgrep -P "$1" || true); do
+    echo "$child"
+    descendants "$child"
+  done
+}
+# Fails unless each pid in $2.. is gone or a zombie awaiting its reap;
+# $1 names the event they had to die with.
+none_running() {
+  local event="$1" pid state
+  shift
+  for pid in "$@"; do
+    state="$( (sed 's/^.*) //' "/proc/$pid/stat" || true) 2>/dev/null |
+              cut -d' ' -f1)"
+    if [ -n "$state" ] && [ "$state" != Z ]; then
+      echo "process $pid outlived its server's $event (state $state)"; exit 1
+    fi
+  done
+}
 SOCK="$SERVE_DIR/serve.sock"
 "$ROOT/build/tools/pasim_serve" --socket "$SOCK" \
   --cache "$SERVE_DIR/serve_cache" --workers 2 \
@@ -542,8 +588,15 @@ done
   --no-cache --out "$SERVE_DIR/deep_offline" >/dev/null
 cmp "$SERVE_DIR/deep/FT_time.csv" "$SERVE_DIR/deep_offline/FT_time.csv"
 "$CLIENT" --socket "$SOCK" --stats | grep -q '"journal_entries"'
+# The zygote and at least one worker ran; a clean shutdown reaps them
+# all before the server exits.
+SERVE_TREE="$(descendants "$SERVE_PID")"
+[ "$(echo "$SERVE_TREE" | wc -w)" -ge 2 ] || {
+  echo "expected a worker zygote and a worker below pasim_serve:" \
+    "$SERVE_TREE"; exit 1; }
 "$CLIENT" --socket "$SOCK" --shutdown >/dev/null
 wait $SERVE_PID
+none_running shutdown $SERVE_TREE
 # The server's parting metrics snapshot must include serving counters.
 grep -q "serve.sweeps" "$SERVE_DIR/serve_metrics.csv"
 grep -q "serve.request_seconds" "$SERVE_DIR/serve_metrics.csv"
@@ -561,8 +614,8 @@ for m in serve.worker_crashes serve.worker_timeouts serve.worker_restarts \
 done
 echo "serve OK (cold/warm/concurrent byte-identical to offline, silent)"
 # Kill and restart: SIGKILL the server while a cold paper-scale EP
-# sweep is in flight (one of its forked workers is alive), restart it
-# on the same cache and resubmit. The answer must match the offline
+# sweep is in flight (a worker runs one of its columns), restart it on
+# the same cache and resubmit. The answer must match the offline
 # oracle byte for byte, whatever the dead server had journaled.
 KILL_SOCK="$SERVE_DIR/kill.sock"
 start_kill_server() {
@@ -576,25 +629,23 @@ start_kill_server() {
 start_kill_server
 "$CLIENT" --socket "$KILL_SOCK" --spec specs/ep_paper.json \
   --out "$SERVE_DIR/ep_killed" >/dev/null 2>&1 & KILLED_CLIENT=$!
+# The zygote is forked at start-up; a worker below it exists only once
+# a column needed one.
 for _ in $(seq 1 500); do
-  pgrep -P "$KILL_PID" >/dev/null && break
+  [ "$(descendants "$KILL_PID" | wc -l)" -ge 2 ] && break
   sleep 0.01
 done
-WORKERS="$(pgrep -P "$KILL_PID" || true)"
-[ -n "$WORKERS" ] || { echo "no worker was ever forked"; exit 1; }
+WORKERS="$(descendants "$KILL_PID")"
+[ "$(echo "$WORKERS" | wc -w)" -ge 2 ] || {
+  echo "no worker ever ran a column: $WORKERS"; exit 1; }
 kill -9 "$KILL_PID"
 wait "$KILL_PID" 2>/dev/null || true
-# Workers die with their server: 0.2 s after it is reaped, each is gone
-# or a zombie awaiting its new parent's reap (state Z). A worker the
-# server's death did not reach is still simulating its column then.
+# The zygote and its workers die with their server: 0.2 s after it is
+# reaped, each is gone or a zombie awaiting its new parent's reap
+# (state Z). A worker the server's death did not reach is still
+# simulating its column then.
 sleep 0.2
-for w in $WORKERS; do
-  state="$( (sed 's/^.*) //' "/proc/$w/stat" || true) 2>/dev/null |
-            cut -d' ' -f1)"
-  if [ -n "$state" ] && [ "$state" != Z ]; then
-    echo "worker $w outlived its SIGKILLed server (state $state)"; exit 1
-  fi
-done
+none_running SIGKILL $WORKERS
 if wait "$KILLED_CLIENT"; then
   echo "the sweep finished before the server was killed"; exit 1
 fi
@@ -604,8 +655,10 @@ start_kill_server
 cmp "$SERVE_DIR/ep_restarted/EP_time.csv" "$SERVE_DIR/ep_offline/EP_time.csv"
 cmp "$SERVE_DIR/ep_restarted/EP_speedup.csv" \
   "$SERVE_DIR/ep_offline/EP_speedup.csv"
+KILL_TREE="$(descendants "$KILL_PID")"
 "$CLIENT" --socket "$KILL_SOCK" --shutdown >/dev/null
 wait $KILL_PID
+none_running shutdown $KILL_TREE
 echo "kill/restart OK (restarted server answered byte-identically)"
 
 echo "== tier 1: perf baseline =="

@@ -1,7 +1,5 @@
 #include "pas/analysis/column_supervisor.hpp"
 
-#include <csignal>
-
 #include <algorithm>
 #include <chrono>
 #include <cstring>
@@ -10,20 +8,64 @@
 
 #include "pas/fault/fault.hpp"
 #include "pas/util/format.hpp"
+#include "pas/util/json.hpp"
 #include "pas/util/log.hpp"
 
 namespace pas::analysis {
+namespace {
 
-ColumnSupervisor::ColumnSupervisor(SweepJournal& journal, Policy policy,
-                                   Counters counters)
-    : journal_(journal), policy_(std::move(policy)), counters_(counters) {
-  if (const int err = journal_.create_error())
+SweepJournal& require_created(SweepJournal& journal, const std::string& name) {
+  if (const int err = journal.create_error())
     throw std::runtime_error(util::strf(
         "%s: cannot create the sweep journal %s: %s (errno %d); column "
         "workers report only through it",
-        policy_.name.c_str(), journal_.path().c_str(), std::strerror(err),
-        err));
+        name.c_str(), journal.path().c_str(), std::strerror(err), err));
+  return journal;
 }
+
+/// What a worker receives for one attempt: the column's context, its
+/// pending members and the journal's crash trigger. A worker outlives
+/// the attempt, so it re-arms the trigger from each request rather
+/// than inheriting it at fork (a test-only hook, 0 in production).
+std::string encode_request(const std::string& context,
+                           const std::vector<SweepExecutor::Point>& pending) {
+  util::Json j = util::Json::object();
+  j.set("context", util::Json(context));
+  util::Json& points = j.set("points", util::Json::array());
+  for (const SweepExecutor::Point& p : pending) {
+    util::Json& point = points.push_back(util::Json::array());
+    point.push_back(util::Json(p.nodes));
+    point.push_back(util::Json(p.frequency_mhz));
+    point.push_back(util::Json(p.comm_dvfs_mhz));
+  }
+  j.set("crash_after_appends",
+        util::Json(SweepJournal::crash_after_appends()));
+  return j.dump();
+}
+
+void run_request(const ColumnSupervisor::Body& body,
+                 const std::string& request) {
+  const util::Json j = util::Json::parse(request);
+  SweepJournal::set_crash_after_appends(
+      static_cast<long>(j.find("crash_after_appends")->as_number()));
+  std::vector<SweepExecutor::Point> pending;
+  for (const util::Json& p : j.find("points")->items())
+    pending.push_back(SweepExecutor::Point{
+        static_cast<int>(p.items()[0].as_number()), p.items()[1].as_number(),
+        p.items()[2].as_number()});
+  body(j.find("context")->as_string(), pending);
+}
+
+}  // namespace
+
+ColumnSupervisor::ColumnSupervisor(SweepJournal& journal, Policy policy,
+                                   Counters counters, Body body)
+    : journal_(require_created(journal, policy.name)),
+      policy_(std::move(policy)),
+      counters_(counters),
+      pool_([body = std::move(body)](const std::string& request) {
+        run_request(body, request);
+      }) {}
 
 double ColumnSupervisor::now() {
   return std::chrono::duration<double>(
@@ -37,67 +79,72 @@ bool ColumnSupervisor::complete(const Column& col) const {
   return true;
 }
 
-bool ColumnSupervisor::launch(std::shared_ptr<Column> col, const Body& body) {
+bool ColumnSupervisor::launch(std::shared_ptr<Column> col) {
   // The index is current as of the last harvest, so a retry resumes
-  // past its predecessor's points without the child reading the journal.
+  // past its predecessor's points without the worker reading the journal.
   std::vector<SweepExecutor::Point> pending;
   for (std::size_t i = 0; i < col->keys.size(); ++i)
     if (!journal_.find(col->keys[i])) pending.push_back(col->points[i]);
   if (pending.empty()) return false;
   ++col->attempts;
-  Child c;
-  // fork without exec: the child builds a fresh executor (the parent's
-  // pool threads do not survive a fork) and reports through the journal.
-  c.handle = util::Subprocess::spawn([&body, &pending]() -> int {
-    body(pending);
-    return 0;
-  });
-  c.column = std::move(col);
-  c.t0 = now();
-  c.deadline = c.t0 + policy_.timeout_s;
-  live_.push_back(std::move(c));
+  Attempt a;
+  a.job = pool_.submit(encode_request(col->context, pending));
+  a.column = std::move(col);
+  a.t0 = now();
+  a.deadline = a.t0 + policy_.timeout_s;
+  live_.push_back(std::move(a));
   return true;
 }
 
+std::vector<ColumnSupervisor::Attempt>::iterator ColumnSupervisor::attempt(
+    int job) {
+  return std::find_if(live_.begin(), live_.end(),
+                      [job](const Attempt& a) { return a.job == job; });
+}
+
 void ColumnSupervisor::wait(double wake_at, util::Wakeup* wake) {
-  std::vector<const util::Subprocess::Handle*> children;
-  for (const Child& c : live_) {
-    children.push_back(&c.handle);
-    if (!c.timed_out && (wake_at < 0.0 || c.deadline < wake_at))
-      wake_at = c.deadline;
-  }
-  util::Subprocess::wait_any(
-      children, wake_at < 0.0 ? -1.0 : std::max(0.0, wake_at - now()), wake);
+  for (const Attempt& a : live_)
+    if (!a.timed_out && (wake_at < 0.0 || a.deadline < wake_at))
+      wake_at = a.deadline;
+  pool_.wait(wake_at < 0.0 ? -1.0 : std::max(0.0, wake_at - now()), wake);
 }
 
 std::vector<ColumnSupervisor::Exit> ColumnSupervisor::reap() {
+  const double t = now();
+  for (Attempt& a : live_) {
+    if (a.timed_out || t <= a.deadline) continue;
+    a.timed_out = true;
+    pool_.kill(a.job);
+  }
   std::vector<Exit> exits;
-  for (auto it = live_.begin(); it != live_.end();) {
-    if (!it->handle.poll()) {
-      if (!it->timed_out && now() > it->deadline) {
-        it->timed_out = true;
-        it->handle.kill(SIGKILL);
-      }
-      ++it;
-      continue;
-    }
+  const std::vector<util::WorkerPool::Event> ended = pool_.poll();
+  if (ended.empty()) return exits;
+  // Harvest whatever the workers journaled: a crashed worker's completed
+  // points survive, only its in-flight work is lost.
+  journal_.refresh();
+  for (const util::WorkerPool::Event& ev : ended) {
+    const auto it = attempt(ev.job);
+    if (it == live_.end()) continue;
     Exit& e = exits.emplace_back();
     e.column = std::move(it->column);
-    e.result = it->handle.result();
+    if (ev.done) {
+      e.result.started = e.result.exited = true;
+      e.result.exit_code = 0;
+    } else {
+      e.result = ev.result;
+    }
     e.result.timed_out = e.result.timed_out || it->timed_out;
     e.elapsed_s = now() - it->t0;
-    it = live_.erase(it);
+    live_.erase(it);
 
-    // Harvest whatever the child journaled: a crashed worker's completed
-    // points survive, only its in-flight work is lost.
-    journal_.refresh();
     if (complete(*e.column)) continue;
     Column& col = *e.column;
     (e.result.timed_out ? counters_.timeouts : counters_.crashes).add();
-    // The dead child may have left a torn frame; appending after it would
-    // hide every later record, so repair before anyone writes there. Safe
-    // against live writers: repair holds the journal flock, and anything
-    // past the last good frame is unreachable garbage by definition.
+    // The dead worker may have left a torn frame; appending after it
+    // would hide every later record, so repair before anyone writes
+    // there. Safe against live writers: repair holds the journal flock,
+    // and anything past the last good frame is unreachable garbage by
+    // definition.
     journal_.repair_tail();
     if (col.attempts <= policy_.retries) {
       counters_.retries.add();
@@ -126,12 +173,16 @@ std::vector<std::shared_ptr<ColumnSupervisor::Column>>
 ColumnSupervisor::kill_all() {
   std::vector<std::shared_ptr<Column>> columns;
   if (live_.empty()) return columns;
-  for (Child& c : live_) {
-    c.handle.kill(SIGKILL);
-    c.handle.wait();
-    columns.push_back(std::move(c.column));
+  for (const Attempt& a : live_) pool_.kill(a.job);
+  while (!live_.empty()) {
+    for (const util::WorkerPool::Event& ev : pool_.poll()) {
+      const auto it = attempt(ev.job);
+      if (it == live_.end()) continue;
+      columns.push_back(std::move(it->column));
+      live_.erase(it);
+    }
+    if (!live_.empty()) pool_.wait(-1.0);
   }
-  live_.clear();
   journal_.refresh();
   journal_.repair_tail();
   return columns;

@@ -1,20 +1,24 @@
-// ColumnSupervisor — the crash policy for sweep columns run in forked
-// workers (DESIGN.md §12), shared by `--isolate` and pasim_serve.
+// ColumnSupervisor — the crash policy for sweep columns run in worker
+// processes (DESIGN.md §12), shared by `--isolate` and pasim_serve.
 //
-// launch() forks an attempt at the members of a column the journal
-// index lacks; the child runs the caller's body on them and reports
-// through the shared journal. The supervisor owns only the live
-// children: wait() sleeps on their exits, the caller's doorbell and
-// its nearest timer, and reap() SIGKILLs a child at its deadline and
-// harvests each exit with one refresh() (plus repair_tail() when the
-// column is incomplete: a dead child may have torn the tail frame). It
-// reports the column complete, due for a retry after
+// The constructor forks the zygote of a util::WorkerPool on the calling
+// thread; every worker is forked by that zygote and runs the caller's
+// body for one column after another. launch() sends an idle worker the
+// members of a column the journal index lacks, with the column's
+// context; the worker runs the body on them and reports through the
+// shared journal. The supervisor owns only the columns in flight:
+// wait() sleeps on their workers, the caller's doorbell and its nearest
+// timer, and reap() SIGKILLs a worker at its deadline and harvests the
+// columns that ended with one refresh() (plus repair_tail() when a
+// column is incomplete: a dead worker may have torn the tail frame). It
+// reports each column complete, due for a retry after
 // fault::backoff_s(0.05, attempt), or given up. Queues, resume and
 // fail-soft records stay with the callers.
 //
-// Fork safety: launch() forks on the calling thread. The supervisor
-// registers no metric; it bumps counters the caller resolved before
-// any fork.
+// Fork safety: the only fork on the caller's side is the zygote's, in
+// the constructor; build the supervisor while no other thread of the
+// process can hold a lock its workers need. The supervisor registers
+// no metric; it bumps counters the caller resolved before.
 #pragma once
 
 #include <functional>
@@ -37,41 +41,48 @@ class ColumnSupervisor {
     std::vector<SweepExecutor::Point> points;
     std::vector<std::string> keys;  ///< journal key of each point
     std::string label;              ///< names the column in log lines
-    int attempts = 0;               ///< forks so far
+    /// Sent to the worker with the pending members: what the body runs
+    /// them under (serve: the column's SweepSpec document).
+    std::string context;
+    int attempts = 0;               ///< launches so far
     double not_before = 0.0;        ///< retry gate, in now() seconds
   };
 
   struct Policy {
     std::string name;  ///< log-line prefix
     double timeout_s;  ///< wall-clock deadline of one attempt
-    int retries;       ///< re-forks before a column is given up
+    int retries;       ///< relaunches before a column is given up
   };
 
-  /// Counters bumped per incomplete exit, and per retry granted.
+  /// Counters bumped per incomplete attempt, and per retry granted.
   struct Counters {
     obs::Counter& crashes;
     obs::Counter& timeouts;
     obs::Counter& retries;
   };
 
-  /// Runs in the child on the members still to do; the child exits 0
-  /// when it returns.
-  using Body =
-      std::function<void(const std::vector<SweepExecutor::Point>& pending)>;
+  /// Runs in a worker on a column's context and its members still to
+  /// do. A throw ends the worker.
+  using Body = std::function<void(
+      const std::string& context,
+      const std::vector<SweepExecutor::Point>& pending)>;
 
   enum class Outcome { kComplete, kRetry, kGaveUp };
 
   struct Exit {
     std::shared_ptr<Column> column;
     Outcome outcome = Outcome::kComplete;
-    /// How the child ended; timed_out when the supervisor killed it.
+    /// How the attempt ended: "exited 0" when its worker reported done,
+    /// else how the worker died (timed_out when the supervisor killed it).
     util::Subprocess::Result result;
-    double elapsed_s = 0.0;  ///< fork to reap
+    double elapsed_s = 0.0;  ///< launch to harvest
   };
 
   /// Throws std::runtime_error naming the path and errno when `journal`
-  /// could not be created: workers report through nothing else.
-  ColumnSupervisor(SweepJournal& journal, Policy policy, Counters counters);
+  /// could not be created — workers report through nothing else —
+  /// before it forks the zygote.
+  ColumnSupervisor(SweepJournal& journal, Policy policy, Counters counters,
+                   Body body);
 
   ColumnSupervisor(const ColumnSupervisor&) = delete;
   ColumnSupervisor& operator=(const ColumnSupervisor&) = delete;
@@ -82,37 +93,44 @@ class ColumnSupervisor {
   /// True when the journal index holds every member of `col`.
   bool complete(const Column& col) const;
 
-  /// Forks an attempt at the members of `col` the journal index lacks.
-  /// Forks nothing and returns false when it lacks none.
-  bool launch(std::shared_ptr<Column> col, const Body& body);
+  /// Hands a worker the members of `col` the journal index lacks.
+  /// Sends nothing and returns false when it lacks none.
+  bool launch(std::shared_ptr<Column> col);
 
-  /// Sleeps until a child exits, `wake` rings, a live deadline passes or
-  /// `wake_at` (now() seconds; < 0 for none) comes due.
+  /// Sleeps until a column may have ended, `wake` rings, a live
+  /// deadline passes or `wake_at` (now() seconds; < 0 for none) comes
+  /// due.
   void wait(double wake_at, util::Wakeup* wake = nullptr);
 
-  /// SIGKILLs children past their deadline, and reaps and harvests
-  /// every child that has exited. Never blocks.
+  /// SIGKILLs workers past their deadline, and harvests every column
+  /// whose attempt ended. Never blocks.
   std::vector<Exit> reap();
 
-  /// SIGKILLs and reaps every live child, harvests the journal once and
-  /// returns their columns (a stop drain). Counts nothing.
+  /// SIGKILLs the worker of every column in flight, waits until the
+  /// zygote has reaped them, harvests the journal once and returns the
+  /// columns (a stop drain). Counts nothing.
   std::vector<std::shared_ptr<Column>> kill_all();
 
+  /// Columns in flight.
   std::size_t live() const { return live_.size(); }
 
  private:
-  struct Child {
-    util::Subprocess::Handle handle;
+  struct Attempt {
+    int job = -1;
     std::shared_ptr<Column> column;
     double t0 = 0.0;
     double deadline = 0.0;
     bool timed_out = false;  ///< killed by us at the deadline
   };
 
+  /// The attempt running pool job `job`, or live_.end().
+  std::vector<Attempt>::iterator attempt(int job);
+
   SweepJournal& journal_;
   Policy policy_;
   Counters counters_;
-  std::vector<Child> live_;
+  util::WorkerPool pool_;
+  std::vector<Attempt> live_;
 };
 
 }  // namespace pas::analysis

@@ -625,11 +625,8 @@ RunRecord SweepExecutor::run_one(const npb::Kernel& kernel, int nodes,
   return *run_point(s, Point{nodes, frequency_mhz, comm_dvfs_mhz}, nullptr);
 }
 
-void SweepExecutor::run_points_isolated(Sweep& s) {
+void SweepExecutor::run_isolated(std::vector<Sweep>& sweeps) {
   namespace o = pas::obs;
-  const npb::Kernel& kernel = *s.kernel;
-  const std::vector<Point>& points = s.points;
-  std::vector<RunRecord>& records = s.records;
   // Supervisor traffic is wall-clock-dependent (which worker dies,
   // which retry lands) — volatile diagnostics only.
   static o::Counter& isolated_columns =
@@ -640,85 +637,100 @@ void SweepExecutor::run_points_isolated(Sweep& s) {
       o::registry().counter("sweep.worker_timeouts");
   static o::Counter& worker_retries =
       o::registry().counter("sweep.worker_retries");
-  ColumnSupervisor supervisor(
-      *journal_, {"isolate", isolate_timeout_s_, isolate_retries_},
-      {worker_crashes, worker_timeouts, worker_retries});
 
-  // Pre-pass: points the journal already holds (a --resume of a killed
-  // isolated sweep) never reach a worker. Tracing is off by contract
-  // (the ctor rejects --isolate + tracing), so the skip is safe.
-  std::vector<std::string> keys(points.size());
-  std::vector<char> resolved(points.size(), 0);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    keys[i] = point_key(s, p);
-    if (std::optional<RunRecord> done = journal_->find(keys[i])) {
-      records[i] = std::move(*done);
-      resolved[i] = 1;
-      note_point(kernel, p, s.ctx(i), records[i], false, false, true, 0.0);
-    }
-  }
-
-  // The unresolved remainder, by column: a worker child prices its
-  // column with one ledger however many frequencies it carries.
+  // The unresolved points of every sweep, by column: a worker prices its
+  // column with one ledger however many frequencies it carries. Points
+  // the journal already holds (a --resume of a killed isolated sweep)
+  // never reach a worker. Tracing is off by contract (the ctor rejects
+  // --isolate + tracing), so the skip is safe.
   struct Job : ColumnSupervisor::Column {
+    Sweep* sweep = nullptr;
     std::vector<std::size_t> members;
+    std::vector<char> settled;  ///< per member
   };
   std::vector<std::shared_ptr<Job>> queue;
-  for (std::vector<std::size_t>& members : group_columns(points, resolved)) {
-    auto job = std::make_shared<Job>();
-    for (const std::size_t i : members) {
-      job->points.push_back(points[i]);
-      job->keys.push_back(keys[i]);
+  for (std::size_t si = 0; si < sweeps.size(); ++si) {
+    Sweep& s = sweeps[si];
+    std::vector<std::string> keys(s.points.size());
+    std::vector<char> resolved(s.points.size(), 0);
+    for (std::size_t i = 0; i < s.points.size(); ++i) {
+      keys[i] = point_key(s, s.points[i]);
+      if (std::optional<RunRecord> done = journal_->find(keys[i])) {
+        s.records[i] = std::move(*done);
+        resolved[i] = 1;
+        note_point(*s.kernel, s.points[i], s.ctx(i), s.records[i], false,
+                   false, true, 0.0);
+      }
     }
-    job->label = util::strf("%s N=%d", kernel.name().c_str(),
-                            points[members.front()].nodes);
-    job->members = std::move(members);
-    queue.push_back(std::move(job));
+    for (std::vector<std::size_t>& members :
+         group_columns(s.points, resolved)) {
+      auto job = std::make_shared<Job>();
+      for (const std::size_t i : members) {
+        job->points.push_back(s.points[i]);
+        job->keys.push_back(std::move(keys[i]));
+      }
+      job->label = util::strf("%s N=%d", s.kernel->name().c_str(),
+                              s.points[members.front()].nodes);
+      job->context = std::to_string(si);
+      job->sweep = &s;
+      job->settled.assign(members.size(), 0);
+      job->members = std::move(members);
+      queue.push_back(std::move(job));
+    }
   }
+  if (queue.empty()) return;
+
   // Records what the journal now holds of `job`; given up, the rest
   // become fail-soft records. Deliberately NOT journaled: a crash is an
   // environmental accident, and a --resume should retry the point.
-  const auto settle = [&](const Job& job, const ColumnSupervisor::Exit* exit) {
+  const auto settle = [&](Job& job, const ColumnSupervisor::Exit* exit) {
     const bool gave_up =
         exit != nullptr && exit->outcome == ColumnSupervisor::Outcome::kGaveUp;
-    for (const std::size_t i : job.members) {
-      if (resolved[i]) continue;
-      if (std::optional<RunRecord> done = journal_->find(keys[i])) {
-        records[i] = std::move(*done);
+    Sweep& s = *job.sweep;
+    for (std::size_t m = 0; m < job.members.size(); ++m) {
+      if (job.settled[m]) continue;
+      const std::size_t i = job.members[m];
+      if (std::optional<RunRecord> done = journal_->find(job.keys[m])) {
+        s.records[i] = std::move(*done);
       } else if (gave_up) {
         RunRecord rec;
-        rec.nodes = points[i].nodes;
-        rec.frequency_mhz = points[i].frequency_mhz;
+        rec.nodes = s.points[i].nodes;
+        rec.frequency_mhz = s.points[i].frequency_mhz;
         rec.status = exit->result.timed_out ? RunStatus::kTimeout
                                             : RunStatus::kCrashed;
         rec.error = "isolated worker " + exit->result.describe();
         rec.attempts = job.attempts;
-        records[i] = std::move(rec);
+        s.records[i] = std::move(rec);
       } else {
         continue;
       }
-      resolved[i] = 1;
-      note_point(kernel, points[i], s.ctx(i), records[i], false, false,
-                 false, exit ? exit->elapsed_s : 0.0);
+      job.settled[m] = 1;
+      note_point(*s.kernel, s.points[i], s.ctx(i), s.records[i], false,
+                 false, false, exit ? exit->elapsed_s : 0.0);
     }
   };
 
-  // The child builds a FRESH executor (fresh rank pool, fresh RunMatrix)
-  // from this one's spec under the sweep's fault config and runs the
-  // caller's kernel object on the shared journal.
+  // A worker builds a FRESH executor (fresh rank pool, fresh RunMatrix)
+  // from this one's spec under its sweep's fault config, and runs the
+  // caller's kernel object on the shared journal. It finds both in its
+  // copy of this frame: the supervisor forks its zygote here, on the
+  // calling thread, while the executor's pool is idle.
   const std::string journal_path = journal_->path();
-  const ColumnSupervisor::Body body = [&](const std::vector<Point>& pending) {
-    SweepSpec spec = spec_;
-    spec.fault = s.cluster.fault;
-    spec.options.jobs = 1;
-    spec.options.isolate = false;
-    spec.options.journal_path.clear();
-    spec.observer = nullptr;
-    SweepExecutor child(std::move(spec));
-    child.attach_journal(journal_path);
-    child.run_points(kernel, pending);
-  };
+  ColumnSupervisor supervisor(
+      *journal_, {"isolate", isolate_timeout_s_, isolate_retries_},
+      {worker_crashes, worker_timeouts, worker_retries},
+      [&](const std::string& context, const std::vector<Point>& pending) {
+        const Sweep& s = sweeps[std::stoul(context)];
+        SweepSpec spec = spec_;
+        spec.fault = s.cluster.fault;
+        spec.options.jobs = 1;
+        spec.options.isolate = false;
+        spec.options.journal_path.clear();
+        spec.observer = nullptr;
+        SweepExecutor child(std::move(spec));
+        child.attach_journal(journal_path);
+        child.run_points(*s.kernel, pending);
+      });
   const std::size_t window =
       static_cast<std::size_t>(std::max(1, pool_.max_threads()));
   for (;;) {
@@ -732,7 +744,7 @@ void SweepExecutor::run_points_isolated(Sweep& s) {
         continue;
       }
       it = queue.erase(it);
-      if (supervisor.launch(job, body))
+      if (supervisor.launch(job))
         isolated_columns.add();
       else
         settle(*job, nullptr);
@@ -762,7 +774,7 @@ void SweepExecutor::run_sweeps(std::vector<Sweep>& sweeps) {
       s.ctxs[i] = ObsCtx{id, static_cast<int>(i)};
   }
   if (isolate_) {
-    for (Sweep& s : sweeps) run_points_isolated(s);
+    run_isolated(sweeps);
     return;
   }
 

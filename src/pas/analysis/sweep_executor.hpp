@@ -193,8 +193,8 @@ class SweepExecutor {
   };
   /// The one path every entry point runs: registers each sweep with
   /// the observer in order, then resolves all their points as a single
-  /// task list drained once (or, under --isolate, sweep by sweep on
-  /// the calling thread).
+  /// task list drained once (or, under --isolate, by worker processes
+  /// supervised from the calling thread).
   void run_sweeps(std::vector<Sweep>& sweeps);
   /// Resolves a point the journal and the record cache both miss:
   /// returns its record, or nullopt to defer the point to its column's
@@ -226,12 +226,13 @@ class SweepExecutor {
   void note_point(const npb::Kernel& kernel, const Point& p, const ObsCtx* ctx,
                   const RunRecord& rec, bool from_cache, bool repriced,
                   bool resumed, double elapsed_s);
-  /// --isolate: runs each column the journal does not already hold in
-  /// a forked child under the ColumnSupervisor policy (DESIGN.md §12),
-  /// at most `jobs` live at once, and records kCrashed/kTimeout for
-  /// members of a column the supervisor gives up. Runs on the calling
-  /// thread only — forking from pool workers is not fork-safe.
-  void run_points_isolated(Sweep& s);
+  /// --isolate: runs each column of the batch the journal does not
+  /// already hold in a worker process under the ColumnSupervisor policy
+  /// (DESIGN.md §12), at most `jobs` at once, and records
+  /// kCrashed/kTimeout for members of a column the supervisor gives up.
+  /// Runs on the calling thread only, whose frame its workers read: the
+  /// supervisor forks their zygote there, while the pool is idle.
+  void run_isolated(std::vector<Sweep>& sweeps);
   /// Stable replay counters: lanes priced and ledger ops replayed, and
   /// the size and count of resolved column ledgers.
   void note_repriced_lanes(std::size_t lanes, std::size_t ops);

@@ -362,6 +362,10 @@ void SweepJournal::set_crash_after_appends(long n) {
   crash_after_counter().store(n > 0 ? n : 0, std::memory_order_relaxed);
 }
 
+long SweepJournal::crash_after_appends() {
+  return crash_after_counter().load(std::memory_order_relaxed);
+}
+
 void SweepJournal::set_crash_mid_append(long n) {
   crash_mid_counter().store(n > 0 ? n : 0, std::memory_order_relaxed);
 }

@@ -54,7 +54,9 @@
 // set_crash_mid_append(n) kills mid-write of the n-th frame, leaving
 // exactly the torn tail repair_tail() must handle. Both also read
 // $PASIM_CRASH_AFTER_APPENDS / $PASIM_CRASH_MID_APPEND at first use so
-// the shell-level harness can arm them in a child process.
+// the shell-level harness can arm them in a child process. A column
+// supervisor's workers outlive their columns, so the supervisor sends
+// the first trigger's count with every column instead.
 #pragma once
 
 #include <cstddef>
@@ -135,6 +137,8 @@ class SweepJournal {
   /// SIGKILL the process immediately after the n-th successful append
   /// from now (n >= 1); n <= 0 disarms. Process-wide.
   static void set_crash_after_appends(long n);
+  /// The appends left before that SIGKILL; 0 when disarmed.
+  static long crash_after_appends();
   /// SIGKILL the process halfway through writing the n-th frame from
   /// now (n >= 1), leaving a torn tail; n <= 0 disarms. Process-wide.
   static void set_crash_mid_append(long n);

@@ -8,7 +8,9 @@
 #include <utility>
 
 #include "pas/analysis/experiment.hpp"
+#include "pas/power/power_model.hpp"
 #include "pas/util/format.hpp"
+#include "pas/util/json.hpp"
 
 namespace pas::serve {
 namespace {
@@ -39,35 +41,35 @@ BrokerOptions validate_options(BrokerOptions opts) {
   return opts;
 }
 
-/// Copies the document half of `src` into `dst` and overlays this
-/// broker's execution policy — a column worker's actual config.
-void fill_column_spec(analysis::SweepSpec* dst, const analysis::SweepSpec& src,
-                      const BrokerOptions& opts) {
-  dst->kernel = src.kernel;
-  dst->scale = src.scale;
-  dst->comm_dvfs_mhz = src.comm_dvfs_mhz;
-  dst->iterations = src.iterations;
-  dst->fault = src.fault;
-  dst->cluster = src.cluster;
-  dst->power = src.power;
-  dst->options.jobs = 1;
-  dst->options.cache_dir = opts.cache_dir;
-  dst->options.cache_cap_bytes = opts.cache_cap_bytes;
-  dst->options.run_retries = src.options.run_retries;
-  dst->options.sampling = src.options.sampling;
-  dst->options.sample_period = src.options.sample_period;
-  dst->options.warmup_iters = src.options.warmup_iters;
-  dst->options.verify_sampling = src.options.verify_sampling;
+/// The document a column worker runs `src`'s columns under: its
+/// document half with this broker's execution policy overlaid.
+std::string column_document(const analysis::SweepSpec& src,
+                            const BrokerOptions& opts) {
+  analysis::SweepSpec dst;
+  dst.kernel = src.kernel;
+  dst.scale = src.scale;
+  dst.comm_dvfs_mhz = src.comm_dvfs_mhz;
+  dst.iterations = src.iterations;
+  dst.fault = src.fault;
+  dst.options.jobs = 1;
+  dst.options.cache_dir = opts.cache_dir;
+  dst.options.cache_cap_bytes = opts.cache_cap_bytes;
+  dst.options.run_retries = src.options.run_retries;
+  dst.options.sampling = src.options.sampling;
+  dst.options.sample_period = src.options.sample_period;
+  dst.options.warmup_iters = src.options.warmup_iters;
+  dst.options.verify_sampling = src.options.verify_sampling;
+  return dst.to_json().dump();
 }
 
-/// A column worker's child body: a fresh executor over the column's
-/// spec, attached to the shared journal, runs the members still to do.
-/// It holds copies: the child never touches the broker's objects.
-analysis::ColumnSupervisor::Body worker_body(analysis::SweepSpec spec,
-                                             std::string journal_path) {
-  return [spec = std::move(spec), journal_path = std::move(journal_path)](
+/// A column worker's body: a fresh executor over the column's document,
+/// attached to the shared journal, runs the members still to do. It
+/// holds copies: a worker never touches the broker's objects.
+analysis::ColumnSupervisor::Body worker_body(std::string journal_path) {
+  return [journal_path = std::move(journal_path)](
+             const std::string& document,
              const std::vector<analysis::SweepExecutor::Point>& pending) {
-    analysis::SweepExecutor exec(spec);
+    analysis::SweepExecutor exec(analysis::SweepSpec::parse(document));
     exec.attach_journal(journal_path);
     const std::unique_ptr<npb::Kernel> kernel =
         analysis::make_spec_kernel(exec.spec());
@@ -95,7 +97,8 @@ Broker::Broker(BrokerOptions opts)
       worker_timeouts_(obs::registry().counter("serve.worker_timeouts")),
       supervisor_(journal_,
                   {"serve", opts_.worker_timeout_s, opts_.worker_retries},
-                  {worker_crashes_, worker_timeouts_, worker_restarts_}),
+                  {worker_crashes_, worker_timeouts_, worker_restarts_},
+                  worker_body(opts_.journal_path)),
       scheduler_([this] { scheduler_main(); }) {}
 
 Broker::~Broker() {
@@ -118,11 +121,12 @@ void Broker::set_hold(bool hold) {
 Broker::SweepResult Broker::run(const analysis::SweepSpec& spec) {
   spec.validate();
   const std::unique_ptr<npb::Kernel> kernel = analysis::make_spec_kernel(spec);
-  sim::ClusterConfig cluster =
-      spec.cluster ? *spec.cluster : spec.resolved_cluster();
-  // Same precedence as the SweepExecutor ctor, so the keys computed
-  // here are the keys an offline run of this spec stores under.
+  // A worker's executor sees only the document, so the keys come from
+  // it too: the scale's cluster under the document's faults and the
+  // default power model, as in an offline run of this document.
+  sim::ClusterConfig cluster = spec.resolved_cluster();
   if (spec.fault) cluster.fault = *spec.fault;
+  const power::PowerModel power;
   std::vector<analysis::SweepExecutor::Point> points;
   for (const int n : spec.resolved_nodes())
     for (const double f : spec.resolved_freqs())
@@ -137,7 +141,7 @@ Broker::SweepResult Broker::run(const analysis::SweepSpec& spec) {
           : std::string();
   std::vector<std::string> keys(points.size());
   for (std::size_t i = 0; i < points.size(); ++i)
-    keys[i] = analysis::RunCache::key(*kernel, cluster, spec.power,
+    keys[i] = analysis::RunCache::key(*kernel, cluster, power,
                                       points[i].nodes, points[i].frequency_mhz,
                                       points[i].comm_dvfs_mhz) +
               sampled_suffix;
@@ -174,6 +178,8 @@ Broker::SweepResult Broker::run(const analysis::SweepSpec& spec) {
   for (std::size_t i = 0; i < points.size(); ++i)
     if (!resolved[i]) members_of[points[i].nodes].push_back(i);
 
+  const std::string document =
+      members_of.empty() ? std::string() : column_document(spec, opts_);
   std::vector<std::shared_ptr<Column>> waits;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -198,7 +204,7 @@ Broker::SweepResult Broker::run(const analysis::SweepSpec& spec) {
       auto col = std::make_shared<Column>();
       col->id = id;
       col->label = util::strf("%s N=%d", spec.kernel.c_str(), nodes);
-      fill_column_spec(&col->spec, spec, opts_);
+      col->context = document;
       for (const std::size_t i : members) {
         col->points.push_back(points[i]);
         col->keys.push_back(keys[i]);
@@ -318,10 +324,8 @@ void Broker::scheduler_main() {
     }
 
     // A column whose members were all journaled meanwhile (by another
-    // column) forks nothing: it is done.
-    if (next && !supervisor_.launch(
-                    next, worker_body(next->spec, opts_.journal_path)))
-      finish_column(next);
+    // column) reaches no worker: it is done.
+    if (next && !supervisor_.launch(next)) finish_column(next);
 
     const std::vector<analysis::ColumnSupervisor::Exit> exits =
         supervisor_.reap();
@@ -341,7 +345,7 @@ void Broker::scheduler_main() {
 
     // A launch or a reap may have made more work ready at once.
     if (next || !exits.empty()) continue;
-    // Otherwise sleep until a worker exits, the doorbell rings (a
+    // Otherwise sleep until a worker reports, the doorbell rings (a
     // submission, a thaw, stop) or the nearest live deadline or
     // backoff gate is due.
     double wake_at = -1.0;

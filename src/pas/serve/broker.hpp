@@ -13,26 +13,30 @@
 //     in-flight columns are deduplicated by content-hash identity: a
 //     spec submitted twice concurrently enqueues each column once and
 //     both submissions wait on the same column object,
-//   * columns run in forked workers through analysis::ColumnSupervisor,
-//     the policy `--isolate` uses too (deadline, journal harvest,
-//     backoff retry; column_supervisor.hpp). A column it gives up is
+//   * columns run in persistent worker processes through
+//     analysis::ColumnSupervisor, the policy `--isolate` uses too
+//     (deadline, journal harvest, backoff retry; column_supervisor.hpp).
+//     A worker receives the column's SweepSpec document, builds a fresh
+//     jobs-1 executor from it, appends each point to the journal and
+//     waits for the next column. A column the supervisor gives up is
 //     answered with fail-soft kCrashed/kTimeout records, never
 //     journaled or cached, so a later submission retries those points
 //     for real — a dying worker costs a column, never the server.
 //
 // The scheduler thread keeps the queue and the in-flight dedup, and
-// sleeps in the supervisor until a worker exits, the doorbell rings or
-// the nearest deadline or backoff is due. One broker serves one host
+// sleeps in the supervisor until a worker reports, the doorbell rings
+// or the nearest deadline or backoff is due. One broker serves one host
 // (its listeners bind loopback only); `workers` sets how many columns
 // it runs at once.
 //
-// Fork safety: all forks happen on the single scheduler thread (the
-// supervisor forks on the thread that calls it), and every metric
-// reference is resolved at construction, so no other broker thread
-// ever takes the metrics-registry lock while the scheduler forks.
-// Worker children only touch their own fresh executor state (own
-// RunCache handle, own attached SweepJournal handle on the shared
-// files) — never the parent's objects.
+// Fork safety: the broker process forks once, in the constructor,
+// before it starts the scheduler thread: the supervisor forks the
+// zygote that forks every worker (util::WorkerPool). Built while its
+// process has one thread — pasim_serve builds it before any listener —
+// no worker can inherit a lock another thread held, and after the
+// constructor returns the broker never forks. Workers only touch their
+// own fresh executor state (own RunCache handle, own attached
+// SweepJournal handle on the shared files), never the broker's objects.
 #pragma once
 
 #include <condition_variable>
@@ -60,7 +64,8 @@ struct BrokerOptions {
   int workers = 2;
   /// Per-worker wall-clock deadline (then SIGKILL + retry).
   double worker_timeout_s = 300.0;
-  /// Re-forks per failed column before fail-soft records are synthesized.
+  /// Relaunches per failed column before fail-soft records are
+  /// synthesized.
   int worker_retries = 1;
   /// Shared run-cache directory (required — the cache IS the service's
   /// memory; the sweep journal lives next to it by default).
@@ -73,12 +78,15 @@ struct BrokerOptions {
 
 class Broker {
  public:
-  /// Opens (or warm-resumes) the cache and journal and starts the
-  /// scheduler thread. Throws std::invalid_argument on bad options and
-  /// std::runtime_error when the journal cannot be created.
+  /// Opens (or warm-resumes) the cache and journal, forks the workers'
+  /// zygote and starts the scheduler thread. Throws
+  /// std::invalid_argument on bad options and std::runtime_error when
+  /// the journal cannot be created. The constructing thread must
+  /// outlive the broker: the zygote dies with it.
   explicit Broker(BrokerOptions opts);
-  /// Stops the scheduler: live workers are SIGKILLed, every pending
-  /// column is failed soft, blocked run() calls return.
+  /// Stops the scheduler: busy workers are SIGKILLed, every pending
+  /// column is failed soft, blocked run() calls return; then the zygote
+  /// and every worker are reaped.
   ~Broker();
 
   Broker(const Broker&) = delete;
@@ -97,11 +105,12 @@ class Broker {
 
   /// Resolves every point of the spec's grid and blocks until done.
   /// Thread-safe: concurrent submissions share in-flight columns. Only
-  /// the spec's document half shapes the result; execution-policy
-  /// options (jobs, cache_dir, journal, isolate) are the broker's to
-  /// choose — except run_retries, which changes record bytes and so
-  /// keys column identity. Throws std::invalid_argument on an invalid
-  /// spec and std::runtime_error after stop().
+  /// the spec's document half shapes the result — it is all a worker
+  /// receives, so a cluster or power-model override is ignored;
+  /// execution-policy options (jobs, cache_dir, journal, isolate) are
+  /// the broker's to choose — except run_retries, which changes record
+  /// bytes and so keys column identity. Throws std::invalid_argument on
+  /// an invalid spec and std::runtime_error after stop().
   SweepResult run(const analysis::SweepSpec& spec);
 
   analysis::RunCache& cache() { return cache_; }
@@ -116,11 +125,10 @@ class Broker {
  private:
   /// The supervisor's half holds the members, their keys, the attempts
   /// and the retry gate.
+  /// The context is the column's SweepSpec document (plus this
+  /// broker's cache policy) a worker builds its executor from.
   struct Column : analysis::ColumnSupervisor::Column {
     std::string id;  ///< member cache keys + retry policy
-    /// Document spec (plus this broker's cache policy) a worker
-    /// rebuilds its executor from.
-    analysis::SweepSpec spec;
     bool done = false;
     /// Fail-soft records for members the journal never received,
     /// keyed like the journal. Written by the scheduler before `done`,
@@ -147,8 +155,8 @@ class Broker {
   bool stop_ = false;
   bool hold_ = false;
 
-  // Metric references resolved at construction (fork safety — see the
-  // header comment). All volatile: serving traffic is wall-clock shaped.
+  // Metric references resolved at construction. All volatile: serving
+  // traffic is wall-clock shaped.
   obs::Counter& sweeps_;
   obs::Counter& sweep_points_;
   obs::Counter& cache_hits_;
@@ -160,9 +168,10 @@ class Broker {
   obs::Counter& worker_crashes_;
   obs::Counter& worker_timeouts_;
 
-  /// Forks, reaps and retries the local columns; used by the scheduler
-  /// thread only (complete() is safe anywhere). Built after the journal
-  /// and the counters it is handed, before the scheduler starts.
+  /// Runs, harvests and retries the columns in its workers; used by the
+  /// scheduler thread only (complete() is safe anywhere). Built after
+  /// the journal and the counters it is handed, and before the
+  /// scheduler starts, so its zygote forks from a broker of one thread.
   analysis::ColumnSupervisor supervisor_;
   std::thread scheduler_;
 };

@@ -67,6 +67,8 @@ class Server {
   std::string stats_line();
 
   ServerOptions opts_;
+  /// Built before the listeners and their threads: its constructor
+  /// forks the workers' zygote, which must see one thread.
   Broker broker_;
   Fd unix_listener_;
   Fd tcp_listener_;
@@ -83,7 +85,7 @@ class Server {
   bool shutdown_requested_ = false;
   bool stopped_ = false;  ///< stop() already ran to completion
 
-  // Resolved at construction (fork safety — see pas/serve/broker.hpp).
+  // Resolved at construction.
   obs::Counter& requests_;
   obs::Counter& connections_;
   obs::Counter& protocol_errors_;

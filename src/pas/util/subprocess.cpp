@@ -4,6 +4,7 @@
 #include <signal.h>
 #include <sys/eventfd.h>
 #include <sys/prctl.h>
+#include <sys/socket.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -16,7 +17,12 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <map>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
+
+#include "pas/util/log.hpp"
 
 namespace pas::util {
 namespace {
@@ -160,8 +166,10 @@ Subprocess::Result Subprocess::Handle::wait(double timeout_s) {
 }
 
 void Subprocess::wait_any(const std::vector<const Handle*>& children,
-                          double timeout_s, Wakeup* wake) {
+                          double timeout_s, Wakeup* wake,
+                          const std::vector<int>& extra) {
   std::vector<pollfd> fds;
+  for (const int fd : extra) fds.push_back(pollfd{fd, POLLIN, 0});
   bool blind = false;  // something without a descriptor: poll it
   for (const Handle* h : children) {
     if (!h->running()) continue;
@@ -230,6 +238,369 @@ Subprocess::Result Subprocess::call(std::function<int()> body,
                                     double timeout_s) {
   Handle h = spawn(std::move(body));
   return h.wait(timeout_s);
+}
+
+// ---- WorkerPool ----------------------------------------------------------
+//
+// The pool and its zygote talk over a SOCK_SEQPACKET pair in fixed-size
+// messages. A worker's socket carries length-prefixed requests one way
+// and a one-byte "done" the other.
+
+namespace {
+
+enum Op : std::int32_t {
+  kSpawn,        ///< pool -> zygote: fork worker `worker`
+  kKill,         ///< pool -> zygote: SIGKILL worker `worker`
+  kSpawned,      ///< zygote -> pool: `worker` is pid `value`; socket attached
+  kSpawnFailed,  ///< zygote -> pool: no worker; `value` is the errno
+  kExited,       ///< zygote -> pool: `worker` ended; `value` from encode_exit
+};
+
+struct Msg {
+  std::int32_t op = 0;
+  std::int32_t worker = -1;
+  std::int32_t value = 0;
+};
+
+constexpr char kDone = 'D';
+
+/// A reaped worker's end in one int: its exit code, or minus its signal.
+std::int32_t encode_exit(const Subprocess::Result& r) {
+  return r.exited ? r.exit_code : -r.term_signal;
+}
+
+Subprocess::Result decode_exit(std::int32_t code) {
+  Subprocess::Result r;
+  r.started = true;
+  r.exited = code >= 0;
+  r.exit_code = code >= 0 ? code : -1;
+  r.signaled = code < 0;
+  r.term_signal = code < 0 ? -code : 0;
+  return r;
+}
+
+/// Sends `m`, attaching descriptor `pass` when it is >= 0.
+bool send_msg(int sock, const Msg& m, int pass = -1) {
+  iovec iov{const_cast<Msg*>(&m), sizeof m};
+  msghdr h{};
+  h.msg_iov = &iov;
+  h.msg_iovlen = 1;
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))] = {};
+  if (pass >= 0) {
+    h.msg_control = control;
+    h.msg_controllen = sizeof control;
+    cmsghdr* c = CMSG_FIRSTHDR(&h);
+    c->cmsg_level = SOL_SOCKET;
+    c->cmsg_type = SCM_RIGHTS;
+    c->cmsg_len = CMSG_LEN(sizeof(int));
+    std::memcpy(CMSG_DATA(c), &pass, sizeof(int));
+  }
+  ssize_t n = 0;
+  do {
+    n = ::sendmsg(sock, &h, MSG_NOSIGNAL);
+  } while (n < 0 && errno == EINTR);
+  return n == static_cast<ssize_t>(sizeof m);
+}
+
+enum class Got { kMsg, kNone, kClosed };
+
+/// Receives one message (and the descriptor it carries into *fd, when
+/// `fd` is non-null). kNone: nothing waiting under MSG_DONTWAIT.
+Got recv_msg(int sock, Msg* m, int* fd, int flags) {
+  iovec iov{m, sizeof *m};
+  msghdr h{};
+  h.msg_iov = &iov;
+  h.msg_iovlen = 1;
+  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int))] = {};
+  h.msg_control = control;
+  h.msg_controllen = sizeof control;
+  ssize_t n = 0;
+  do {
+    n = ::recvmsg(sock, &h, flags | MSG_CMSG_CLOEXEC);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return Got::kNone;
+  if (n != static_cast<ssize_t>(sizeof *m)) return Got::kClosed;
+  for (cmsghdr* c = CMSG_FIRSTHDR(&h); c != nullptr; c = CMSG_NXTHDR(&h, c)) {
+    if (c->cmsg_level != SOL_SOCKET || c->cmsg_type != SCM_RIGHTS) continue;
+    int got = -1;
+    std::memcpy(&got, CMSG_DATA(c), sizeof got);
+    if (fd != nullptr)
+      *fd = got;
+    else
+      ::close(got);
+  }
+  return Got::kMsg;
+}
+
+bool write_all(int fd, const char* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool read_all(int fd, char* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::read(fd, data, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Closes every descriptor above stderr but `keep`, so that a zygote or
+/// a worker holds no socket or file that another owner's close must
+/// reach: a pool's socket, a listener, a journal and its flock.
+void close_fds_except(int keep) {
+#ifdef SYS_close_range
+  if (keep > 3) ::syscall(SYS_close_range, 3u, keep - 1u, 0u);
+  ::syscall(SYS_close_range, static_cast<unsigned>(std::max(keep + 1, 3)),
+            ~0u, 0u);
+#else
+  for (int fd = 3; fd < 1024; ++fd)
+    if (fd != keep) ::close(fd);
+#endif
+}
+
+/// A worker's life: run the body on each request until the pool closes
+/// the socket.
+int serve_requests(int sock, const WorkerPool::Body& body) {
+  for (;;) {
+    std::uint64_t size = 0;
+    if (!read_all(sock, reinterpret_cast<char*>(&size), sizeof size)) return 0;
+    std::string request(size, '\0');
+    if (!read_all(sock, request.data(), request.size())) return 0;
+    body(request);
+    std::fflush(nullptr);
+    if (!write_all(sock, &kDone, 1)) return 0;
+  }
+}
+
+/// The zygote's life: fork, kill and reap workers on the pool's word,
+/// and report every exit. When the pool closes its socket, SIGKILL and
+/// reap the workers (the Handle destructors) and exit.
+int zygote_main(int ctl, const WorkerPool::Body& body) {
+  std::map<int, Subprocess::Handle> workers;
+  for (;;) {
+    for (auto it = workers.begin(); it != workers.end();) {
+      if (!it->second.poll()) {
+        ++it;
+        continue;
+      }
+      send_msg(ctl, Msg{kExited, it->first, encode_exit(it->second.result())});
+      it = workers.erase(it);
+    }
+    Msg m;
+    const Got got = recv_msg(ctl, &m, nullptr, MSG_DONTWAIT);
+    if (got == Got::kClosed) return 0;
+    if (got == Got::kNone) {
+      std::vector<const Subprocess::Handle*> live;
+      for (const auto& [id, h] : workers) live.push_back(&h);
+      Subprocess::wait_any(live, -1.0, nullptr, {ctl});
+      continue;
+    }
+    if (m.op == kKill) {
+      const auto it = workers.find(m.worker);
+      if (it != workers.end()) it->second.kill(SIGKILL);
+      continue;
+    }
+    if (m.op != kSpawn) continue;
+    int pair[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, pair) != 0) {
+      send_msg(ctl, Msg{kSpawnFailed, m.worker, errno});
+      continue;
+    }
+    Subprocess::Handle h = Subprocess::spawn([&]() -> int {
+      close_fds_except(pair[1]);
+      return serve_requests(pair[1], body);
+    });
+    const int err = errno;
+    ::close(pair[1]);
+    if (h.running()) {
+      send_msg(ctl, Msg{kSpawned, m.worker, h.pid()}, pair[0]);
+      workers.emplace(m.worker, std::move(h));
+    } else {
+      send_msg(ctl, Msg{kSpawnFailed, m.worker, err});
+    }
+    ::close(pair[0]);
+  }
+}
+
+}  // namespace
+
+WorkerPool::WorkerPool(Body body) {
+  int pair[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, pair) != 0)
+    throw std::runtime_error(std::string("worker pool: socketpair: ") +
+                             std::strerror(errno));
+  // Flush first: the zygote and its workers inherit stdio buffers.
+  std::fflush(nullptr);
+  zygote_ = Subprocess::spawn([&pair, &body]() -> int {
+    close_fds_except(pair[1]);
+    return zygote_main(pair[1], body);
+  });
+  ::close(pair[1]);
+  if (!zygote_.running()) {
+    ::close(pair[0]);
+    throw std::runtime_error("worker pool: cannot fork the zygote: " +
+                             zygote_.result().error);
+  }
+  ctl_ = pair[0];
+}
+
+WorkerPool::~WorkerPool() {
+  for (const Worker& w : workers_) ::close(w.fd);
+  if (ctl_ >= 0) ::close(ctl_);
+  zygote_.wait();
+}
+
+int WorkerPool::submit(const std::string& request) {
+  pump();  // prune workers that died idle
+  const int job = next_job_++;
+  Worker* w = nullptr;
+  for (Worker& candidate : workers_)
+    if (candidate.job < 0 && !candidate.hup) {
+      w = &candidate;
+      break;
+    }
+  std::string error;
+  if (w == nullptr) w = start_worker(&error);
+  if (w == nullptr) {
+    Event e;
+    e.job = job;
+    e.result.error = error;
+    ended_.push_back(std::move(e));
+    return job;
+  }
+  w->job = job;
+  // A worker that dies before it reads the request fails this write or
+  // not; either way the zygote's exit report ends the job.
+  const std::uint64_t size = request.size();
+  if (write_all(w->fd, reinterpret_cast<const char*>(&size), sizeof size))
+    write_all(w->fd, request.data(), request.size());
+  return job;
+}
+
+WorkerPool::Worker* WorkerPool::start_worker(std::string* error) {
+  const int id = next_worker_++;
+  if (ctl_ < 0 || !send_msg(ctl_, Msg{kSpawn, id, 0})) {
+    zygote_gone();
+    *error = "the worker zygote has exited";
+    return nullptr;
+  }
+  for (;;) {
+    Msg m;
+    int fd = -1;
+    if (recv_msg(ctl_, &m, &fd, 0) != Got::kMsg) {
+      zygote_gone();
+      *error = "the worker zygote has exited";
+      return nullptr;
+    }
+    if (m.op == kExited) {
+      on_exit(m.worker, m.value);
+    } else if (m.worker == id && m.op == kSpawnFailed) {
+      *error = std::strerror(m.value);
+      return nullptr;
+    } else if (m.worker == id && m.op == kSpawned && fd >= 0) {
+      Worker& w = workers_.emplace_back();
+      w.id = id;
+      w.fd = fd;
+      return &w;
+    } else if (fd >= 0) {
+      ::close(fd);
+    }
+  }
+}
+
+void WorkerPool::on_exit(int id, int code) {
+  for (auto it = workers_.begin(); it != workers_.end(); ++it) {
+    if (it->id != id) continue;
+    if (it->job >= 0) {
+      Event e;
+      e.job = it->job;
+      // Its "done" may have landed after this pool last looked.
+      char c = 0;
+      e.done = !it->hup && ::recv(it->fd, &c, 1, MSG_DONTWAIT) == 1;
+      if (!e.done) e.result = decode_exit(code);
+      ended_.push_back(std::move(e));
+    }
+    ::close(it->fd);
+    workers_.erase(it);
+    return;
+  }
+}
+
+void WorkerPool::zygote_gone() {
+  if (ctl_ < 0) return;
+  ::close(ctl_);
+  ctl_ = -1;
+  zygote_.wait();
+  log_warn("worker pool: the zygote " + zygote_.result().describe() +
+           "; no worker can be started");
+  for (const Worker& w : workers_) {
+    if (w.job >= 0) {
+      // PR_SET_PDEATHSIG took them with the zygote.
+      Event e;
+      e.job = w.job;
+      e.result = decode_exit(-SIGKILL);
+      ended_.push_back(std::move(e));
+    }
+    ::close(w.fd);
+  }
+  workers_.clear();
+}
+
+void WorkerPool::kill(int job) {
+  for (const Worker& w : workers_)
+    if (w.job == job && ctl_ >= 0) send_msg(ctl_, Msg{kKill, w.id, 0});
+}
+
+void WorkerPool::wait(double timeout_s, Wakeup* wake) {
+  if (!ended_.empty()) return;
+  std::vector<int> fds;
+  if (ctl_ >= 0) fds.push_back(ctl_);
+  for (const Worker& w : workers_)
+    if (w.job >= 0 && !w.hup) fds.push_back(w.fd);
+  Subprocess::wait_any({}, timeout_s, wake, fds);
+}
+
+std::vector<WorkerPool::Event> WorkerPool::poll() {
+  pump();
+  return std::exchange(ended_, {});
+}
+
+void WorkerPool::pump() {
+  for (Worker& w : workers_) {
+    if (w.job < 0 || w.hup) continue;
+    char c = 0;
+    const ssize_t n = ::recv(w.fd, &c, 1, MSG_DONTWAIT);
+    if (n == 1) {
+      Event e;
+      e.job = w.job;
+      e.done = true;
+      ended_.push_back(std::move(e));
+      w.job = -1;
+    } else if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK &&
+                          errno != EINTR)) {
+      w.hup = true;  // dead or dying: its exit report ends the job
+    }
+  }
+  while (ctl_ >= 0) {
+    Msg m;
+    const Got got = recv_msg(ctl_, &m, nullptr, MSG_DONTWAIT);
+    if (got == Got::kNone) break;
+    if (got == Got::kClosed) {
+      zygote_gone();
+      break;
+    }
+    if (m.op == kExited) on_exit(m.worker, m.value);
+  }
 }
 
 }  // namespace pas::util

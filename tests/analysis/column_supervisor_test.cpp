@@ -1,8 +1,9 @@
 // analysis::ColumnSupervisor on its own: the stop drain that kills a
-// live worker, a launch with nothing left to run, and the deadline
-// kill with its retry and give-up. The end-to-end oracles are
-// IsolateSupervisor.* and ServeBroker.*. Forks on purpose — this
-// binary runs under ASan, never TSan.
+// busy worker, a launch with nothing left to run, the deadline kill
+// with its retry and give-up, and one worker running column after
+// column. The end-to-end oracles are IsolateSupervisor.* and
+// ServeBroker.*. Forks on purpose — this binary runs under ASan, never
+// TSan.
 #include "pas/analysis/column_supervisor.hpp"
 
 #include <gtest/gtest.h>
@@ -33,10 +34,11 @@ std::string temp_dir(const std::string& name) {
 
 /// A supervisor over a fresh journal, with counters of its own.
 struct Rig {
-  Rig(const std::string& dir, double timeout_s, int retries)
+  Rig(const std::string& dir, double timeout_s, int retries,
+      ColumnSupervisor::Body body)
       : journal(dir + "/sweep.journal", SweepJournal::Mode::kFresh),
         supervisor(journal, {"test", timeout_s, retries},
-                   {crashes, timeouts, retried}) {}
+                   {crashes, timeouts, retried}, std::move(body)) {}
 
   obs::Counter crashes;
   obs::Counter timeouts;
@@ -55,7 +57,8 @@ std::shared_ptr<ColumnSupervisor::Column> two_point_column() {
 
 /// A child that never finishes — after publishing its pid, when asked.
 ColumnSupervisor::Body hang(const std::string& pid_file = "") {
-  return [pid_file](const std::vector<SweepExecutor::Point>&) {
+  return [pid_file](const std::string&,
+                    const std::vector<SweepExecutor::Point>&) {
     if (!pid_file.empty())
       util::atomic_write_file(pid_file, std::to_string(::getpid()));
     for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
@@ -73,9 +76,9 @@ std::vector<ColumnSupervisor::Exit> next_exits(ColumnSupervisor& s) {
 
 TEST(ColumnSupervisor, KillAllReapsALiveHangingChildAndReturnsItsColumn) {
   const std::string dir = temp_dir("kill_all");
-  Rig rig(dir, 600.0, 0);
+  Rig rig(dir, 600.0, 0, hang(dir + "/child.pid"));
   const auto col = two_point_column();
-  ASSERT_TRUE(rig.supervisor.launch(col, hang(dir + "/child.pid")));
+  ASSERT_TRUE(rig.supervisor.launch(col));
   ASSERT_EQ(rig.supervisor.live(), 1u);
 
   std::optional<std::string> pid_text;
@@ -102,7 +105,12 @@ TEST(ColumnSupervisor, KillAllReapsALiveHangingChildAndReturnsItsColumn) {
 
 TEST(ColumnSupervisor, LaunchOfAFullyJournaledColumnForksNothing) {
   const std::string dir = temp_dir("journaled");
-  Rig rig(dir, 600.0, 0);
+  const std::string marker = dir + "/forked";
+  Rig rig(dir, 600.0, 0,
+          [&marker](const std::string&,
+                    const std::vector<SweepExecutor::Point>&) {
+            util::atomic_write_file(marker, "forked\n");
+          });
   const auto col = two_point_column();
   for (std::size_t i = 0; i < col->keys.size(); ++i) {
     RunRecord rec;
@@ -110,11 +118,7 @@ TEST(ColumnSupervisor, LaunchOfAFullyJournaledColumnForksNothing) {
     rec.frequency_mhz = col->points[i].frequency_mhz;
     ASSERT_TRUE(rig.journal.append(col->keys[i], rec));
   }
-  const std::string marker = dir + "/forked";
-  EXPECT_FALSE(rig.supervisor.launch(
-      col, [&marker](const std::vector<SweepExecutor::Point>&) {
-        util::atomic_write_file(marker, "forked\n");
-      }));
+  EXPECT_FALSE(rig.supervisor.launch(col));
   EXPECT_EQ(rig.supervisor.live(), 0u);
   EXPECT_EQ(col->attempts, 0);
   EXPECT_TRUE(rig.supervisor.complete(*col));
@@ -124,11 +128,11 @@ TEST(ColumnSupervisor, LaunchOfAFullyJournaledColumnForksNothing) {
 
 TEST(ColumnSupervisor, ChildPastItsDeadlineIsKilledReapedAndTimedOut) {
   const std::string dir = temp_dir("deadline");
-  Rig rig(dir, 0.2, 1);
+  Rig rig(dir, 0.2, 1, hang());
   const auto col = two_point_column();
 
   // First attempt: killed at the deadline, granted the one retry.
-  ASSERT_TRUE(rig.supervisor.launch(col, hang()));
+  ASSERT_TRUE(rig.supervisor.launch(col));
   const double t0 = ColumnSupervisor::now();
   std::vector<ColumnSupervisor::Exit> exits = next_exits(rig.supervisor);
   ASSERT_EQ(exits.size(), 1u);
@@ -146,7 +150,7 @@ TEST(ColumnSupervisor, ChildPastItsDeadlineIsKilledReapedAndTimedOut) {
   EXPECT_EQ(rig.retried.value(), 1u);
 
   // Second attempt: the retries are spent, so the column is given up.
-  ASSERT_TRUE(rig.supervisor.launch(col, hang()));
+  ASSERT_TRUE(rig.supervisor.launch(col));
   exits = next_exits(rig.supervisor);
   ASSERT_EQ(exits.size(), 1u);
   EXPECT_EQ(exits[0].outcome, ColumnSupervisor::Outcome::kGaveUp);

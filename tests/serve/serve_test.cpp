@@ -1,9 +1,10 @@
 // pasim_serve end-to-end torture tests (DESIGN.md §13): broker
 // cold/warm behavior, in-flight dedup of concurrent identical
 // submissions, SIGKILLed workers mid-column (journaled points survive,
-// unfinished members fail soft and are retried for real later), a
-// restarted server answering from its predecessor's journal, and the
-// byte-identity oracle — served records equal an offline
+// unfinished members fail soft and are retried for real later), cold
+// columns served while other threads churn the locks a forked child
+// needs, a restarted server answering from its predecessor's journal,
+// and the byte-identity oracle — served records equal an offline
 // SweepExecutor run of the same document, byte for byte through the
 // cache encoding. Forks on purpose — excluded from TSan like the other
 // fork-based binaries.
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "pas/serve/protocol.hpp"
 #include "pas/serve/server.hpp"
 #include "pas/util/json.hpp"
+#include "pas/util/log.hpp"
 #include "test_scratch.hpp"
 
 namespace pas::serve {
@@ -146,11 +149,14 @@ TEST(ServeBroker, SigkilledWorkersResumePastJournaledPoints) {
   Broker broker(opts);
   const analysis::SweepSpec spec = small_spec();
 
-  // Every forked worker SIGKILLs itself right after its first journal
-  // append (children inherit the armed counter at fork; the parent
-  // never appends, so it stays armed for every re-fork). Each attempt
-  // therefore lands exactly one more point — the column only finishes
-  // because re-forked workers resume past journaled points.
+  // Every worker SIGKILLs itself right after its first journal append
+  // of an attempt (each column request re-arms the trigger with the
+  // broker's count; the broker never appends, so it stays armed for
+  // every retry). Each attempt therefore lands exactly one more point —
+  // a 2-point column crashes once, and only finishes because its retry
+  // resumes past the journaled point.
+  obs::Counter& restarts = obs::registry().counter("serve.worker_restarts");
+  const std::uint64_t restarts0 = restarts.value();
   analysis::SweepJournal::set_crash_after_appends(1);
   const Broker::SweepResult result = broker.run(spec);
   analysis::SweepJournal::set_crash_after_appends(0);
@@ -159,6 +165,7 @@ TEST(ServeBroker, SigkilledWorkersResumePastJournaledPoints) {
   for (const analysis::RunRecord& rec : result.records)
     EXPECT_FALSE(rec.failed()) << rec.error;
   expect_byte_identical(result.records, offline_records(spec));
+  EXPECT_EQ(restarts.value() - restarts0, 2u);
 }
 
 TEST(ServeBroker, ExhaustedRetriesFailSoftAndHealOnResubmit) {
@@ -166,7 +173,7 @@ TEST(ServeBroker, ExhaustedRetriesFailSoftAndHealOnResubmit) {
   BrokerOptions opts;
   opts.cache_dir = dir;
   opts.workers = 1;
-  opts.worker_retries = 0;  // one attempt per column, no re-forks
+  opts.worker_retries = 0;  // one attempt per column, no retries
   Broker broker(opts);
   const analysis::SweepSpec spec = small_spec();
 
@@ -195,6 +202,64 @@ TEST(ServeBroker, ExhaustedRetriesFailSoftAndHealOnResubmit) {
   ASSERT_EQ(healed.records.size(), 4u);
   EXPECT_EQ(healed.cache_hits, 2u);  // the two that did land
   expect_byte_identical(healed.records, offline_records(spec));
+}
+
+// Fork safety (DESIGN.md §12): the broker forks once, before its
+// scheduler thread starts, and its single-threaded zygote forks every
+// worker. So other threads of the broker's process may hold the metrics
+// registry's mutex and the allocator's locks at any instant — as
+// connection threads and the stats op do — and no worker ever inherits
+// a held lock and waits on it until its deadline.
+TEST(ServeBroker, ColdColumnsCompleteWhileOtherThreadsChurnForkLocks) {
+  const std::string dir = temp_dir("fork_locks");
+  BrokerOptions opts;
+  opts.cache_dir = dir;
+  opts.workers = 2;
+  opts.worker_timeout_s = 30.0;
+  Broker broker(opts);
+  obs::Counter& timeouts = obs::registry().counter("serve.worker_timeouts");
+  obs::Counter& crashes = obs::registry().counter("serve.worker_crashes");
+  const std::uint64_t timeouts0 = timeouts.value();
+  const std::uint64_t crashes0 = crashes.value();
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> churn;
+  for (int t = 0; t < 2; ++t) {
+    churn.emplace_back([&stop, t] {  // the registry mutex
+      for (unsigned i = 0; !stop.load(std::memory_order_relaxed); ++i)
+        obs::registry()
+            .counter("test.fork_churn." + std::to_string(t) + "." +
+                     std::to_string(i % 64))
+            .add();
+    });
+    churn.emplace_back([&stop] {  // the allocator
+      std::vector<std::unique_ptr<char[]>> blocks(64);
+      for (std::size_t i = 0; !stop.load(std::memory_order_relaxed); ++i)
+        blocks[i % blocks.size()].reset(new char[64 + (i * 7919) % 65536]);
+    });
+  }
+
+  // 50 one-point columns, none in the cache or journal before.
+  int columns = 0;
+  for (const char* kernel : {"EP", "FT", "CG", "MG"})
+    for (const int n : {1, 2, 4})
+      for (const double f : {600.0, 800.0, 1000.0, 1200.0, 1400.0}) {
+        if (columns == 50) continue;
+        ++columns;
+        analysis::SweepSpec spec = small_spec(kernel);
+        spec.nodes = {n};
+        spec.freqs_mhz = {f};
+        const Broker::SweepResult r = broker.run(spec);
+        ASSERT_EQ(r.records.size(), 1u);
+        EXPECT_EQ(r.cache_hits, 0u);
+        EXPECT_FALSE(r.records[0].failed())
+            << kernel << " N=" << n << " f=" << f << ": " << r.records[0].error;
+      }
+  stop.store(true);
+  for (std::thread& t : churn) t.join();
+  EXPECT_EQ(columns, 50);
+  EXPECT_EQ(timeouts.value() - timeouts0, 0u);
+  EXPECT_EQ(crashes.value() - crashes0, 0u);
 }
 
 TEST(ServeBroker, JournalReplacedByAnOfflineSweepKeepsServing) {
@@ -332,7 +397,12 @@ TEST(ServeServer, RestartedServerAnswersFromItsPredecessorsJournal) {
   spec.fault = fault::FaultConfig{};
   spec.fault->message_drop_prob = 0.5;
   spec.fault->max_send_attempts = 1;
+  // The offline oracle warns that every point failed, as designed; the
+  // servers under test must stay silent (tier-1 fails on a [warn]).
+  const util::LogLevel level = util::log_level();
+  util::set_log_level(util::LogLevel::kError);
   const std::vector<analysis::RunRecord> offline = offline_records(spec);
+  util::set_log_level(level);
   ASSERT_EQ(offline.size(), 6u);
   const auto expect_offline = [&offline](const SweepReply& reply) {
     ASSERT_EQ(reply.records.size(), offline.size());

@@ -7,9 +7,15 @@
 
 #include <chrono>
 #include <csignal>
+#include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
+
+#include "pas/util/fs.hpp"
+#include "test_scratch.hpp"
 
 namespace pas::util {
 namespace {
@@ -183,6 +189,117 @@ TEST(Subprocess, PollIsNonBlockingAndConverges) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   EXPECT_TRUE(h.result().exited);
   EXPECT_EQ(h.result().exit_code, 3);
+}
+
+// --- WorkerPool ----------------------------------------------------------
+
+/// A pool whose workers write their pid to the file a request names,
+/// then die by SIGKILL when the name ends in ".die" and hang when it
+/// ends in ".hang". Workers close inherited descriptors, so files are
+/// their only way out.
+WorkerPool pid_pool() {
+  return WorkerPool([](const std::string& path) {
+    atomic_write_file(path, std::to_string(::getpid()));
+    if (path.size() > 4 && path.compare(path.size() - 4, 4, ".die") == 0)
+      ::raise(SIGKILL);
+    if (path.size() > 5 && path.compare(path.size() - 5, 5, ".hang") == 0)
+      for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
+  });
+}
+
+std::string pool_dir(const std::string& name) {
+  const std::string dir = pas::test::scratch_path("pasim_worker_pool/" + name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Sleeps in the pool until it reports at least one ended job.
+std::vector<WorkerPool::Event> next_events(WorkerPool& pool) {
+  for (;;) {
+    std::vector<WorkerPool::Event> events = pool.poll();
+    if (!events.empty()) return events;
+    pool.wait(-1.0);
+  }
+}
+
+pid_t pid_in(const std::string& path) {
+  const std::optional<std::string> text = read_file(path);
+  return text ? static_cast<pid_t>(std::stol(*text)) : -1;
+}
+
+TEST(WorkerPool, OneWorkerRunsJobAfterJobWithoutAFork) {
+  const std::string dir = pool_dir("reuse");
+  WorkerPool pool = pid_pool();
+  EXPECT_EQ(pool.workers(), 0u);  // workers start on demand
+  for (int i = 0; i < 3; ++i) {
+    const std::string path = dir + "/job" + std::to_string(i);
+    const int job = pool.submit(path);
+    const std::vector<WorkerPool::Event> events = next_events(pool);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].job, job);
+    EXPECT_TRUE(events[0].done);
+    EXPECT_EQ(pool.workers(), 1u);
+  }
+  const pid_t first = pid_in(dir + "/job0");
+  EXPECT_GT(first, 0);
+  EXPECT_NE(first, ::getpid());
+  EXPECT_EQ(pid_in(dir + "/job1"), first);
+  EXPECT_EQ(pid_in(dir + "/job2"), first);
+}
+
+TEST(WorkerPool, ADeadWorkerEndsItsJobAndIsReplaced) {
+  const std::string dir = pool_dir("replace");
+  WorkerPool pool = pid_pool();
+  const int doomed = pool.submit(dir + "/a.die");
+  std::vector<WorkerPool::Event> events = next_events(pool);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].job, doomed);
+  EXPECT_FALSE(events[0].done);
+  EXPECT_TRUE(events[0].result.started);
+  EXPECT_TRUE(events[0].result.signaled);
+  EXPECT_EQ(events[0].result.term_signal, SIGKILL);
+  EXPECT_EQ(pool.workers(), 0u);
+
+  const int next = pool.submit(dir + "/b");
+  events = next_events(pool);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].job, next);
+  EXPECT_TRUE(events[0].done);
+  EXPECT_NE(pid_in(dir + "/b"), pid_in(dir + "/a.die"));
+}
+
+TEST(WorkerPool, KillEndsABusyJobAndTheDestructorReapsEveryWorker) {
+  const std::string dir = pool_dir("kill");
+  pid_t idle = -1, hung = -1;
+  {
+    WorkerPool pool = pid_pool();
+    pool.submit(dir + "/idle");
+    ASSERT_TRUE(next_events(pool)[0].done);
+    const int a = pool.submit(dir + "/a.hang");  // the idle worker takes it
+    const int b = pool.submit(dir + "/b.hang");  // a second worker is forked
+    EXPECT_EQ(pool.workers(), 2u);
+    const auto t0 = std::chrono::steady_clock::now();
+    while ((pid_in(dir + "/a.hang") <= 0 || pid_in(dir + "/b.hang") <= 0) &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(60))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    idle = pid_in(dir + "/idle");
+    hung = pid_in(dir + "/b.hang");
+    ASSERT_GT(hung, 0) << "the second worker never started";
+    EXPECT_EQ(pid_in(dir + "/a.hang"), idle);
+
+    pool.kill(a);
+    const std::vector<WorkerPool::Event> events = next_events(pool);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].job, a);
+    EXPECT_TRUE(events[0].result.signaled);
+    EXPECT_EQ(events[0].result.term_signal, SIGKILL);
+    // Reaped by the zygote before it reported: not even a zombie.
+    EXPECT_NE(::kill(idle, 0), 0);
+    (void)b;
+  }
+  // The pool's end took the still-busy worker along, reaped.
+  EXPECT_NE(::kill(hung, 0), 0);
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 // Accepts SweepSpec submissions over a newline-delimited JSON protocol
 // (Unix-domain socket and/or localhost TCP), answers from the shared
 // run cache / journal first, dedups identical in-flight columns, and
-// shards cold columns across a pool of forked worker processes under
-// the crash-safe supervisor policy (deadlines, bounded retries,
-// fail-soft records). Stop with SIGINT/SIGTERM or a client's
-// {"op":"shutdown"}.
+// shards cold columns across persistent worker processes under the
+// crash-safe supervisor policy (deadlines, bounded retries, fail-soft
+// records). The server forks once, while it has one thread: the
+// Broker, built before any listener, forks the zygote that forks every
+// worker on demand. Stop with SIGINT/SIGTERM or a client's
+// {"op":"shutdown"}: the server then reaps the zygote, which reaps
+// every worker, before it exits; a SIGKILLed server takes them along
+// (PR_SET_PDEATHSIG).
 //
 //   ./tools/pasim_serve --cache DIR [--socket PATH] [--tcp PORT]
 //                       [--workers N] [--worker-timeout S]
